@@ -26,9 +26,10 @@ from .atoms import (AtomSpec, PhysicalConstants, TwoAtomConfig,
                     check_perturbative_regime, load_two_atom_config,
                     static_polarisability, validate)
 from .vdw import (EnergyResult, PotentialTensor, v_off_dimensionless,
-                  v_res_dimensionless, w_off_factorized, w_off_full,
-                  w_res_one_excited, w_res_two_excited_dissimilar,
-                  w_res_two_excited_identical, w_resonant)
+                  v_off_free_dimensionless, v_res_dimensionless,
+                  w_off_factorized, w_off_full, w_res_one_excited,
+                  w_res_two_excited_dissimilar, w_res_two_excited_identical,
+                  w_resonant)
 from .static import (StaticField, StaticPotentialTensor,
                      v_static_dimensionless, v_static_free, w_static_full)
 

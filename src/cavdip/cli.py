@@ -21,14 +21,13 @@ import numpy as np
 from . import __version__
 from .atoms import load_two_atom_config
 from .errors import CavdipError, ConfigError, ThresholdError
-from .green import (CavityGeometry, free_space_green, free_space_green_imag,
-                    green_imaginary_freq, green_modesum,
-                    green_reflection_series, to_spherical)
-from .quadrature import QuadSpec, SeriesSpec, integrate_semi_infinite_damped
+from .green import (CavityGeometry, free_space_green, green_imaginary_freq,
+                    green_modesum, green_reflection_series, to_spherical)
+from .quadrature import QuadSpec, SeriesSpec
 from .static import (StaticField, v_static_dimensionless, v_static_free,
                      w_static_full)
-from .vdw import (v_off_dimensionless, v_res_dimensionless, w_off_full,
-                  w_resonant)
+from .vdw import (v_off_dimensionless, v_off_free_dimensionless,
+                  v_res_dimensionless, w_off_full, w_resonant)
 from .verification import run_checks
 
 QUANTITIES = ("green_modesum", "green_series", "green_imagfreq", "v_off",
@@ -74,22 +73,6 @@ PRESETS = {
                        "free-space forms",
     },
 }
-
-
-def _v_off_free_reference(kr, spec):
-    """Free-space-only off-resonant tensor (function of Kr alone)."""
-
-    def f(q):
-        out = np.zeros((len(q), 3))
-        for idx, qi in enumerate(q):
-            if qi == 0.0:
-                continue
-            g = to_spherical(free_space_green_imag(kr, qi)).as_array()
-            out[idx] = qi**4 / (1 + qi * qi) ** 2 * g * g
-        return out
-
-    val, _ = integrate_semi_infinite_damped(f, 0.0, 2 * kr, spec)
-    return {"v00_free": val[2], "vpp_free": val[1], "vpm_free": val[0]}
 
 
 def _eval_point(quantity, params, tols, config=None, field=None,
@@ -140,7 +123,9 @@ def _eval_point(quantity, params, tols, config=None, field=None,
         v = v_off_dimensionless(geom, 1.0, spec)
         out = {"v00": v.v00, "vpp": v.vpp, "vpm": v.vpm}
         if include_free:
-            out.update(_v_off_free_reference(params["Kr"], spec))
+            vf = v_off_free_dimensionless(params["Kr"], spec)
+            out.update({"v00_free": vf.v00, "vpp_free": vf.vpp,
+                        "vpm_free": vf.vpm})
         return out
     if quantity == "v_static":
         rod = params["r_over_d"]
@@ -438,8 +423,9 @@ def cmd_verify(args) -> int:
                    "checks": [{"name": r.name, "passed": r.passed,
                                "detail": r.detail, "elapsed_s": r.elapsed}
                               for r in results]}
+        text = json.dumps(payload, indent=2)  # before the file is opened
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(text)
     print(f"verify {args.level}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

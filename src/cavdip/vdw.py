@@ -23,15 +23,15 @@ sign from the printed detuning denominators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .atoms import TwoAtomConfig, swap_conj
 from .errors import DegenerateError, DomainError, ThresholdError
 from .green import (CavityGeometry, SphericalGreen, d_dk_k2_re_green,
-                    green_imaginary_freq, im_green_modesum, re_green_modesum,
-                    to_spherical)
+                    free_space_green_imag, green_imaginary_freq,
+                    im_green_modesum, re_green_modesum, to_spherical)
 from .quadrature import (QuadSpec, SeriesSpec, integrate_semi_infinite_damped)
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "EnergyResult",
     "contract",
     "v_off_dimensionless",
+    "v_off_free_dimensionless",
     "w_off_full",
     "w_off_factorized",
     "v_res_dimensionless",
@@ -134,24 +135,30 @@ def _integrate_scaled(f, damping_scale, spec, probes,
 # off-resonant family
 # ---------------------------------------------------------------------------
 
-def v_off_integrand(geom: CavityGeometry, K: float,
-                    spec: QuadSpec = QuadSpec(rel_tol=1e-9)):
-    """Batched integrand q -> q^4 G^2(r; iKq)/(q^2+1)^2, columns (pm,pp,00).
+def _off_integrand(green):
+    """Batched q -> q^4 g(q)^2/(q^2+1)^2, columns (pm, pp, 00).
 
-    Evaluates to zero at q = 0 exactly (the q^4 weight; the interior
-    limit is finite and handled by the quadrature nodes).
+    ``green(q)`` returns the (pm, pp, 00) rows of the tensor at an array
+    of q > 0 in one call.  The value at q = 0 is zero exactly (the q^4
+    weight; the interior limit is finite and handled by the quadrature
+    nodes).
     """
 
     def f(q):
         out = np.zeros((len(q), 3))
-        for idx, qi in enumerate(q):
-            if qi == 0.0:
-                continue
-            g = green_imaginary_freq(geom, K * qi, spec).as_array()
-            out[idx] = (qi**4 / (1 + qi * qi) ** 2) * g * g
+        nz = q != 0.0
+        qn = q[nz]
+        out[nz] = (qn**4 / (1 + qn * qn) ** 2)[:, None] * green(qn).T ** 2
         return out
 
     return f
+
+
+def v_off_integrand(geom: CavityGeometry, K: float):
+    """Batched integrand q -> q^4 G^2(r; iKq)/(q^2+1)^2, columns (pm,pp,00),
+    with one Green evaluation per node array."""
+    return _off_integrand(
+        lambda q: green_imaginary_freq(geom, K * q).as_array())
 
 
 def v_off_dimensionless(geom: CavityGeometry, K: float,
@@ -166,13 +173,24 @@ def v_off_dimensionless(geom: CavityGeometry, K: float,
     """
     if not K > 0:
         raise DomainError("K must be > 0")
-    inner = replace(spec, rel_tol=min(spec.rel_tol, 1e-9))
-    f = v_off_integrand(geom, K, inner)
+    f = v_off_integrand(geom, K)
     damping = 2.0 * K * min(geom.r, geom.d)
     probes = [0.5, 1.0, 2.0, 4.0]
     val, _ = _integrate_scaled(f, damping, spec, probes)
     val = val / (K * K)
     return PotentialTensor(v00=val[2], vpp=val[1], vpm=val[0], family="off")
+
+
+def v_off_free_dimensionless(kr: float,
+                             spec: QuadSpec = QuadSpec(rel_tol=1e-8),
+                             ) -> PotentialTensor:
+    """Free-space limit (d -> inf) of :func:`v_off_dimensionless` at
+    K r = kr, with K = 1."""
+    f = _off_integrand(
+        lambda q: to_spherical(free_space_green_imag(kr, q)).as_array())
+    val, _ = integrate_semi_infinite_damped(f, 0.0, 2 * kr, spec)
+    return PotentialTensor(v00=val[2], vpp=val[1], vpm=val[0],
+                           family="off")
 
 
 def _off_channels(config: TwoAtomConfig):
@@ -211,21 +229,19 @@ def w_off_full(config: TwoAtomConfig,
         return EnergyResult(0.0, 0.0, 0.0, 0.0, "off", [])
     k_scales = [abs(w) / cn.c for _, _, w_ia, w_jb, _, _ in channels
                 for w in (w_ia, w_jb)]
-    inner = replace(spec, rel_tol=min(spec.rel_tol, 1e-9))
 
     def f(u):
         out = np.zeros((len(u), len(channels)))
-        for idx, ui in enumerate(u):
-            if ui == 0.0:
-                continue
-            g = green_imaginary_freq(geom, ui, inner).as_array()
-            for c_idx, (i, j, w_ia, w_jb, x, y) in enumerate(channels):
-                k_ia = w_ia / cn.c
-                k_jb = w_jb / cn.c
-                pairing = abs(contract(x, g, y)) ** 2
-                out[idx, c_idx] = (ui**4 * w_ia * w_jb
-                                   / ((ui * ui + k_ia * k_ia)
-                                      * (ui * ui + k_jb * k_jb))) * pairing
+        nz = u != 0.0
+        un = u[nz]
+        g = green_imaginary_freq(geom, un).as_array()
+        for c_idx, (i, j, w_ia, w_jb, x, y) in enumerate(channels):
+            k_ia = w_ia / cn.c
+            k_jb = w_jb / cn.c
+            pairing = np.abs(contract(x, g, y)) ** 2
+            out[nz, c_idx] = (un**4 * w_ia * w_jb
+                              / ((un * un + k_ia * k_ia)
+                                 * (un * un + k_jb * k_jb))) * pairing
         return out
 
     damping = 2.0 * min(geom.r, geom.d)

@@ -60,6 +60,20 @@ def test_eval_w_quantities_from_document(atoms_json, capsys):
     assert "w_static.phase_shift_rate_rad_s" in out
 
 
+def test_eval_w_off_far_outside_a_thin_cavity(atoms_json, tmp_path, capsys):
+    """r = 100 um, d = 100 nm (r/d = 1000): the cancellation of the
+    zeta-integral form used to end in a quadrature error (exit 4)."""
+    doc = json.loads(atoms_json.read_text())
+    doc["config"].update(r=1e5, d=100.0)
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(doc))
+    code = main(["eval", "--quantity", "w_off", "--config", str(path),
+                 "--format", "json"])
+    assert code == 0
+    w_a = json.loads(capsys.readouterr().out)["values"]["w_a_J"]
+    assert math.isfinite(w_a) and w_a < 0
+
+
 def test_eval_degenerate_exit_code(tmp_path, capsys):
     doc = {
         "atoms": [{"label": "deg", "levels": [
@@ -210,6 +224,19 @@ def test_verify_quick_cli(tmp_path, capsys):
     assert payload["passed"] is True
     assert any(c["name"].startswith("representation-equivalence")
                for c in payload["checks"])
+
+
+def test_verify_full_json_cli(tmp_path, capsys):
+    """Every full-level check passes and the verdict file is complete
+    JSON (a numpy bool in a check used to abort the write midway)."""
+    verdict = tmp_path / "full.json"
+    code = main(["verify", "--level", "full", "--json", str(verdict)])
+    assert code == 0
+    with open(verdict, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["passed"] is True
+    assert len(payload["checks"]) == 11
+    assert all(c["passed"] is True for c in payload["checks"])
 
 
 def test_verification_catches_sign_mutation():

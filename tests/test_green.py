@@ -250,6 +250,44 @@ def test_imagfreq_monotone_decay_along_rays():
 def test_imagfreq_domain():
     with pytest.raises(DomainError):
         green_imaginary_freq(CavityGeometry(1.0, 1.0), 0.0)
+    with pytest.raises(DomainError):
+        green_imaginary_freq(CavityGeometry(1.0, 1.0), np.array([1.0, -1.0]))
+
+
+def test_imagfreq_closed_sums_exact_for_d_much_less_than_r():
+    """At d << r only the n = 0 axial term survives: the in-plane
+    components are ~e^{-pi r/d}, where the zeta-integral form returned
+    ~1e-11 of cancellation noise."""
+    r, d, u = 0.2, 0.01, 1.0
+    g = green_imaginary_freq(CavityGeometry(r=r, d=d), u)
+    assert abs(g.g_pm) < 1e-20 and abs(g.g_pp) < 1e-20
+    want = -special.k0(u * r) / (2 * math.pi * d)
+    assert abs(g.g_00 / want - 1) < 1e-13
+
+
+@pytest.mark.parametrize("r, d", [(0.2, 2.0), (0.2, 0.2 / 5e-4)])
+def test_imagfreq_array_call_matches_scalar_calls(r, d):
+    """One call over a node array equals per-node calls, on both sides
+    of the route crossover (the array call may sum a few more
+    negligible terms, so equality is to rounding)."""
+    geom = CavityGeometry(r=r, d=d)
+    us = np.geomspace(1e-3, 60.0, 25)
+    arr = green_imaginary_freq(geom, us).as_array()
+    assert arr.shape == (3, us.size)
+    for i, u in enumerate(us):
+        one = green_imaginary_freq(geom, float(u)).as_array()
+        assert np.max(np.abs(arr[:, i] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+@pytest.mark.parametrize("u", [0.01, 1.0, 30.0])
+def test_imagfreq_routes_agree_at_crossover(u, monkeypatch):
+    """At the r/d where the closed sums take over, the zeta-integral gives
+    the same tensor, so the switch leaves no step."""
+    geom = CavityGeometry(r=0.2, d=0.2 / green.IMAGFREQ_SUM_MIN_R_OVER_D)
+    sums = green_imaginary_freq(geom, u).as_array()
+    monkeypatch.setattr(green, "IMAGFREQ_SUM_MIN_R_OVER_D", math.inf)
+    zeta = green_imaginary_freq(geom, u).as_array()
+    assert np.max(np.abs(sums - zeta) / np.abs(zeta)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

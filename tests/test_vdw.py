@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import cavdip.vdw as vdw
 from cavdip.atoms import AtomSpec, TwoAtomConfig, swap_conj
 from cavdip.errors import DegenerateError, DomainError, ThresholdError
 from cavdip.green import (CavityGeometry, free_space_green_imag,
-                          green_modesum, im_green_modesum, to_spherical)
+                          green_imaginary_freq, green_modesum,
+                          im_green_modesum, to_spherical)
 from cavdip.quadrature import QuadSpec, integrate_semi_infinite_damped
 from cavdip.vdw import (contract, v_off_dimensionless, v_off_integrand,
                         v_res_dimensionless, w_off_factorized, w_off_full,
@@ -72,6 +74,22 @@ def test_v_off_integrand_vanishes_at_origin():
     assert np.all(f(np.array([0.0])) == 0.0)
     # and is finite just off the origin (the limit is finite, not zero)
     assert np.all(np.isfinite(f(np.array([1e-8]))))
+
+
+def test_v_off_evaluates_green_once_per_node_array(monkeypatch):
+    """The outer quadrature hands whole node arrays to one imaginary-
+    frequency Green call; per-node calls cost ~1e3 calls per point."""
+    seen = []
+
+    def counting(geom, u, *args, **kwargs):
+        seen.append(np.size(u))
+        return green_imaginary_freq(geom, u, *args, **kwargs)
+
+    monkeypatch.setattr(vdw, "green_imaginary_freq", counting)
+    v_off_dimensionless(CavityGeometry(r=0.2, d=2.0), 1.0,
+                        QuadSpec(rel_tol=1e-6))
+    assert len(seen) <= 20
+    assert sum(seen) >= 50 * len(seen)
 
 
 def test_v_off_free_space_reduction():
