@@ -94,9 +94,8 @@ def record(tree: str) -> dict:
         bench = json.load(fh)
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     cavdip = [sys.executable, "-m", "cavdip.cli"]
-    out = {"tree": os.path.abspath(tree), "git": git_state(tree),
-           "python": sys.version.split()[0], "machine_before": machine_state(),
-           "workloads": {}, "sweeps": {}}
+    out = {"git": git_state(tree), "python": sys.version.split()[0],
+           "machine_before": machine_state(), "workloads": {}, "sweeps": {}}
 
     seconds = str(bench.get("run_seconds", 20))
     for wl in bench["workloads"]:
