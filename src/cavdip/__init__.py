@@ -13,7 +13,7 @@ from .errors import (CavdipError, ConfigError, ConvergenceError,
                      DegenerateError, DerivativeMismatchError, DomainError,
                      ThresholdError)
 from .quadrature import (QuadSpec, SeriesSpec, integrate_finite,
-                         integrate_semi_infinite_damped, sum_until_converged)
+                         integrate_semi_infinite_damped)
 from .bessel import bessel_j, bessel_k, bessel_y
 from .green import (CartesianGreen, CavityGeometry, SphericalGreen,
                     check_threshold, d_dk_k2_re_green, free_space_green,

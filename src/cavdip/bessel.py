@@ -29,10 +29,10 @@ def bessel_j(order, x):
     """Bessel function of the first kind, order 0, 1 or 2, for x >= 0."""
     _check_order(order, _J_FUNCS.keys(), "j")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if (x < 0).any():
         raise DomainError("bessel_j: x must be >= 0")
     out = _J_FUNCS[order](x)
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_y(order, x):
@@ -43,17 +43,17 @@ def bessel_y(order, x):
     """
     _check_order(order, _Y_FUNCS.keys(), "y")
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if (x <= 0).any():
         raise DomainError("bessel_y: x must be > 0")
     out = _Y_FUNCS[order](x)
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_k(order, x):
     """Modified Bessel function of the second kind, order 0 or 1, x > 0."""
     _check_order(order, _K_FUNCS.keys(), "k")
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if (x <= 0).any():
         raise DomainError("bessel_k: x must be > 0")
     out = _K_FUNCS[order](x)
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,7 @@ from .atoms import load_two_atom_config
 from .errors import CavdipError, ConfigError, ThresholdError
 from .green import (CavityGeometry, free_space_green, green_imaginary_freq,
                     green_modesum, green_reflection_series, to_spherical)
-from .quadrature import QuadSpec, SeriesSpec
+from .quadrature import QuadSpec
 from .static import (StaticField, v_static_dimensionless, v_static_free,
                      w_static_full)
 from .vdw import (v_off_dimensionless, v_off_free_dimensionless,
@@ -79,7 +80,6 @@ def _eval_point(quantity, params, tols, config=None, field=None,
                 include_free=False):
     """One evaluation; returns an ordered dict of output columns."""
     spec = tols["quad"]
-    series = tols["series"]
     guard = tols["guard_band"]
     needs = {"green_modesum": ("Kr", "Kd"), "green_series": ("Kr", "Kd"),
              "green_imagfreq": ("Kr", "Kd"), "v_off": ("Kr", "Kd"),
@@ -91,7 +91,7 @@ def _eval_point(quantity, params, tols, config=None, field=None,
     if quantity in ("green_modesum", "green_series", "v_res"):
         geom = CavityGeometry(r=params["Kr"], d=params["Kd"])
         if quantity == "green_modesum":
-            g = green_modesum(geom, 1.0, series, guard)
+            g = green_modesum(geom, 1.0, guard_band=guard)
             return {"re_par": g.g_par.real, "im_par": g.g_par.imag,
                     "re_perp": g.g_perp.real, "im_perp": g.g_perp.imag,
                     "re_00": g.g_00.real, "im_00": g.g_00.imag}
@@ -103,7 +103,7 @@ def _eval_point(quantity, params, tols, config=None, field=None,
                     "re_00": g.g_00.real, "im_00": g.g_00.imag,
                     "m_used": res.m_used,
                     "truncation": res.truncation_estimate}
-        va, vb = v_res_dimensionless(geom, 1.0, series, guard)
+        va, vb = v_res_dimensionless(geom, 1.0, guard_band=guard)
         out = {"va_00": va.v00, "va_pp": va.vpp, "va_pm": va.vpm,
                "vb_00": vb.v00, "vb_pp": vb.vpp, "vb_pm": vb.vpm}
         if include_free:
@@ -130,7 +130,7 @@ def _eval_point(quantity, params, tols, config=None, field=None,
     if quantity == "v_static":
         rod = params["r_over_d"]
         geom = CavityGeometry(r=rod, d=1.0)
-        v = v_static_dimensionless(geom, series)
+        v = v_static_dimensionless(geom)
         out = {"v00": v.v00, "vpp": v.vpp, "vpm": v.vpm,
                "n00": v.n_used[0], "npp": v.n_used[1], "npm": v.n_used[2]}
         if include_free:
@@ -157,12 +157,12 @@ def _eval_point(quantity, params, tols, config=None, field=None,
     if quantity == "w_off":
         res = w_off_full(cfg, spec)
     elif quantity == "w_res":
-        res = w_resonant(cfg, series, guard)
+        res = w_resonant(cfg, guard_band=guard)
     else:
         if field is None:
             raise ConfigError("w_static needs a 'field' section in the "
                               "configuration document")
-        res = w_static_full(cfg, field, series)
+        res = w_static_full(cfg, field)
     out = {"w_a_J": res.w_a, "w_b_J": res.w_b,
            "phase_shift_J": res.phase_shift,
            "phase_shift_rate_rad_s": res.phase_shift_rate,
@@ -222,7 +222,6 @@ def _tolerances(args, overrides=None):
     guard = overrides.get("guard_band", args.guard_band)
     return {
         "quad": QuadSpec(rel_tol=rel, abs_tol=abs_tol),
-        "series": SeriesSpec(rel_tol=min(rel, 1e-10)),
         "m_max": m_max,
         "guard_band": guard,
         "rel_tol": rel,
@@ -440,7 +439,11 @@ def cmd_presets(_args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once: parse_args leaves it unchanged, and
+    one parser per call left argparse's reference cycles to the garbage
+    collector, which raised the peak memory of repeated in-process calls."""
     ap = argparse.ArgumentParser(
         prog="cavdip",
         description="Cavity-confined dipole-dipole interactions: Green "

@@ -6,24 +6,26 @@ components: parallel (along r), perpendicular (in-plane, normal to r) and
 axial (00, normal to the plates).  Three representations are implemented
 and cross-validated:
 
-* mode sums -- finite Bessel-J/Y sums over open guided modes plus
-  exponentially convergent Bessel-K sums over closed ones
-  (:func:`im_green_modesum` / :func:`re_green_modesum`),
+* mode sums -- one kernel (:func:`_mode_sums`) evaluates k^2 G as
+  Bessel-K sums over the cavity modes for a 1-D array of real k^2, with
+  a term count fixed in advance per entry.  At real k (k^2 > 0) the
+  finitely many open modes continue to Bessel-J/Y terms
+  (:func:`green_modesum`); at k = i*u (k^2 = -u^2) every mode is closed
+  (:func:`green_imaginary_freq`); k^2 = 0 is the electrostatic tensor of
+  :mod:`cavdip.static`; and the kernel also returns the d/d(k^2) of its
+  sums (:func:`d_dk_k2_re_green`).  Their cost grows like d/r, so below
+  r/d = IMAGFREQ_SUM_MIN_R_OVER_D the imaginary-frequency tensor is the
+  free-space term plus one adaptive zeta-integral per u instead, which
+  costs about the same at any r/d.  Both are checked against a
+  brute-force quadrature of the defining integrals
+  (:func:`greens_q_integral_oracle`),
 * a reflection (image) series in the number m of bounces off the plates,
-  with oscillatory q-integrals per order (:func:`green_reflection_series`),
-* real-valued imaginary-frequency forms for k = i*u
-  (:func:`green_imaginary_freq`): at k = i*u every mode is closed, so the
-  mode sums become finite Bessel-K0/K1 sums with no quadrature, evaluated
-  for a whole array of u in one call.  Their cost grows like d/r, so
-  below r/d = IMAGFREQ_SUM_MIN_R_OVER_D the free-space term plus one
-  adaptive zeta-integral per u is used instead, which costs about the
-  same at any r/d.  Both are checked against a brute-force quadrature of
-  the defining integrals (:func:`greens_q_integral_oracle`).
+  with oscillatory q-integrals per order (:func:`green_reflection_series`).
 
 A numerical Kramers-Kronig transform of the imaginary parts provides an
 independent oracle for the real parts (:func:`kramers_kronig_re`), and
-d/dk[k^2 Re G] is available analytically with a finite-difference
-cross-check (:func:`d_dk_k2_re_green`).
+d/dk[k^2 Re G] is cross-checked by finite differences
+(:func:`d_dk_k2_re_green`).
 
 Units: r, d, k (or u) are plain reals; only the products k*r and k*d are
 meaningful.  All dimensional prefactors live in the potential modules.
@@ -94,9 +96,9 @@ DEFAULT_GUARD_FRACTION = 1e-6
 #:     2e-3     0.830 / 0.622   0.295 / 0.216
 #:     1e-3     1.485 / 0.559   0.500 / 0.203
 IMAGFREQ_SUM_MIN_R_OVER_D = 3.5e-3
-#: largest node x term block of the closed sums (bounds their memory)
+#: largest entry x term block of the mode sums (bounds their memory)
 _SUM_BLOCK = 8192
-#: the closed sums stop at a relative remainder of about e^{-_SUM_EXP}
+#: the mode sums stop at a relative remainder of about e^{-_SUM_EXP}
 _SUM_EXP = 40.0
 
 
@@ -210,133 +212,163 @@ def free_space_green_imag(r: float, u) -> CartesianGreen:
 
 
 # ---------------------------------------------------------------------------
-# mode sums (real k)
+# the cavity mode sums: real k, imaginary k, d/dk and the static limit
 # ---------------------------------------------------------------------------
 
-def _open_mode_count(k, d, step):
-    """Number of open modes: Int(kd/pi) for step=1, Int(kd/2pi) for step=2."""
-    return int(k * d / (step * PI))
+def _term_count(r, d, k2):
+    """Largest mode index M of the mode sums at each k^2 (1-D array).
 
-
-def im_green_modesum(geom: CavityGeometry, k: float,
-                     guard_band: float | None = None) -> CartesianGreen:
-    """Imaginary parts from the finite mode sums.
-
-    In-plane components sum odd n <= Int(kd/pi); the (-1)^n - 1 weight
-    kills even n.  The axial component carries the n-independent term
-    -J0(kr)/(4d) plus a sum up to Int(kd/2pi).
+    Above the open modes the terms fall like e^{-r tau_m}, so the sums
+    stop once e^{-r(tau_M - tau_c)} times the geometric remainder
+    1/(1 - e^{-pi r/d}) is below e^{-_SUM_EXP}, where tau_c belongs to
+    the first closed mode m_c >= 1.
     """
-    _require_positive(k, "k")
-    check_threshold(k, geom.d, guard_band)
-    r, d = geom.r, geom.d
-
-    n1 = _open_mode_count(k, d, 1)
-    par = perp = 0.0
-    if n1 >= 1:
-        n = np.arange(1, n1 + 1, 2, dtype=float)
-        sig = np.sqrt(k * k - (n * PI / d) ** 2)
-        j0 = bessel_j(0, r * sig)
-        j1 = bessel_j(1, r * sig)
-        coef = -1.0 / (2 * d * k * k)
-        par = coef * np.sum((n * PI / d) ** 2 * j0 + sig / r * j1)
-        perp = coef * np.sum(k * k * j0 - sig / r * j1)
-
-    g00 = -bessel_j(0, k * r) / (4 * d)
-    n2 = _open_mode_count(k, d, 2)
-    if n2 >= 1:
-        n = np.arange(1, n2 + 1, dtype=float)
-        s = np.sqrt(k * k - (2 * n * PI / d) ** 2)
-        g00 -= np.sum((k * k - (2 * n * PI / d) ** 2) * bessel_j(0, r * s)) \
-            / (2 * k * k * d)
-    return CartesianGreen(float(par), float(perp), float(g00))
+    a = PI / d
+    lead = (_SUM_EXP - math.log(-math.expm1(-PI * r / d))) / r
+    mc2 = (a * np.floor(np.sqrt(np.maximum(k2, 0.0)) / a + 1)) ** 2
+    tau_c = np.sqrt(np.maximum(mc2 - k2, 0.0))
+    # smallest M with tau_M >= tau_c + lead, without cancellation
+    return np.ceil(np.sqrt(mc2 + (2 * tau_c + lead) * lead) / a).astype(int)
 
 
-def _evanescent_tail(term, start, step, spec):
-    """Sum term(n) over n = start, start+step, ... until converged."""
-    total = 0.0
-    small = 0
-    n = start
-    count = 0
-    while count < spec.n_max:
-        t = term(n)
-        total += t
-        if abs(t) <= spec.rel_tol * abs(total) + 1e-300:
-            small += 1
-            if small >= spec.consecutive_small_terms:
-                return total
-        else:
-            small = 0
-        n += step
-        count += 1
-    raise ConvergenceError(
-        f"evanescent mode sum not converged after {spec.n_max} terms")
+def _continued_k(order, r, tau2):
+    """K0(r tau) (order 0) or tau K1(r tau) (order 1) at tau^2 = tau2.
 
-
-def re_green_modesum(geom: CavityGeometry, k: float,
-                     series_spec: SeriesSpec = SeriesSpec(),
-                     guard_band: float | None = None) -> CartesianGreen:
-    """Real parts: Bessel-Y sums over open modes, Bessel-K tails above.
-
-    The Y0 terms diverge logarithmically at the thresholds, which is the
-    physical cavity resonance; evaluation inside the guard band raises
-    ThresholdError instead of returning a huge value.
+    Open modes (tau2 < 0, sigma^2 = -tau2) continue as
+    K0 -> (pi/2)(-Y0 + i J0)(sigma r) and
+    tau K1 -> (pi sigma/2)(-Y1 + i J1)(sigma r).  Entries with tau2 = 0
+    are 0: that is the m = 0 mode of the static limit, whose weight
+    tau^2 K0 vanishes (an exact mode threshold is guarded by callers).
     """
-    _require_positive(k, "k")
-    check_threshold(k, geom.d, guard_band)
-    r, d = geom.r, geom.d
-    k2 = k * k
+    closed = tau2 > 0
+    if closed.all():
+        tau = np.sqrt(tau2)
+        val = bessel_k(order, r * tau)
+        return tau * val if order else val
+    opened = tau2 < 0
+    out = np.zeros(tau2.shape, complex if opened.any() else float)
+    tau = np.sqrt(tau2[closed])
+    out[closed] = bessel_k(order, r * tau) * (tau if order else 1.0)
+    sig = np.sqrt(-tau2[opened])
+    out[opened] = (PI / 2) * (sig if order else 1.0) * (
+        -bessel_y(order, r * sig) + 1j * bessel_j(order, r * sig))
+    return out
 
-    n1 = _open_mode_count(k, d, 1)
-    par = perp = 0.0
-    if n1 >= 1:
-        n = np.arange(1, n1 + 1, 2, dtype=float)
-        sig = np.sqrt(k2 - (n * PI / d) ** 2)
-        y0 = bessel_y(0, r * sig)
-        y1 = bessel_y(1, r * sig)
-        coef = 1.0 / (2 * d * k2)
-        par = coef * np.sum((n * PI / d) ** 2 * y0 + sig / r * y1)
-        perp = coef * np.sum(k2 * y0 - sig / r * y1)
 
-    def tail_par(n):
-        tau = math.sqrt((n * PI / d) ** 2 - k2)
-        return -((n * PI / d) ** 2 * bessel_k(0, r * tau)
-                 + tau / r * bessel_k(1, r * tau)) / (PI * d * k2)
+def _block_sums(r, k2, mk2, deriv):
+    """Unscaled sums of one block: k2 is a column, mk2 = (m pi/d)^2 a row
+    of consecutive m starting at an even m (so odd m sit at 1::2)."""
+    odd, even = slice(1, None, 2), slice(0, None, 2)
+    tau2 = mk2 - k2
+    k0 = _continued_k(0, r, tau2)
+    tk1 = _continued_k(1, r, tau2[:, odd])
+    k0o, k0e = k0[:, odd], k0[:, even]
+    e00 = tau2[:, even] * k0e
+    if mk2[0] == 0:
+        e00[:, 0] *= 0.5                      # m = 0 has half weight
+    w_pm = mk2[odd] + k2
+    rows = [(w_pm * k0o).sum(1),
+            (tau2[:, odd] * k0o + (2 / r) * tk1).sum(1),
+            e00.sum(1)]
+    if deriv:
+        d00 = (r / 2) * _continued_k(1, r, tau2[:, even]) - k0e
+        if mk2[0] == 0:
+            d00[:, 0] *= 0.5
+        rows += [(k0o + (r / 2) * w_pm * tk1 / tau2[:, odd]).sum(1),
+                 (r / 2) * tk1.sum(1),
+                 d00.sum(1)]
+    return np.array(rows)
 
-    def tail_perp(n):
-        tau = math.sqrt((n * PI / d) ** 2 - k2)
-        return -(k2 * bessel_k(0, r * tau)
-                 - tau / r * bessel_k(1, r * tau)) / (PI * d * k2)
 
-    start = n1 + 1 if n1 % 2 == 0 else n1 + 2   # next odd index
-    par += _evanescent_tail(tail_par, start, 2, series_spec)
-    perp += _evanescent_tail(tail_perp, start, 2, series_spec)
+def _mode_sums(r, d, k2, deriv=False, n_max=None):
+    """k^2 G in spherical components (pm, pp, 00), one column per k^2.
 
-    g00 = bessel_y(0, k * r) / (4 * d)
-    n2 = _open_mode_count(k, d, 2)
-    if n2 >= 1:
-        n = np.arange(1, n2 + 1, dtype=float)
-        s = np.sqrt(k2 - (2 * n * PI / d) ** 2)
-        g00 += np.sum((k2 - (2 * n * PI / d) ** 2) * bessel_y(0, r * s)) \
-            / (2 * k2 * d)
+    ``k2`` is a 1-D array of real k^2: k^2 > 0 is a real frequency,
+    k^2 = -u^2 the imaginary frequency k = i u and k^2 = 0 the static
+    limit.  One index m >= 0 serves both mode families, with
+    tau_m^2 = (m pi/d)^2 - k^2: odd m are the in-plane modes, even m the
+    axial ones (m = 0 at half weight):
 
-    def tail_00(n):
-        t = math.sqrt((2 * n * PI / d) ** 2 - k2)
-        return -(k2 - (2 * n * PI / d) ** 2) * bessel_k(0, r * t) \
-            / (PI * k2 * d)
+        k^2 G_pm = -sum_{odd m} ((m pi/d)^2 + k^2) K0(r tau_m) / (2 pi d)
+        k^2 G_pp = -sum_{odd m} [tau_m^2 K0(r tau_m) + 2 tau_m K1(r tau_m)/r]
+                   / (2 pi d)
+        k^2 G_00 = sum'_{even m} tau_m^2 K0(r tau_m) / (pi d)
 
-    g00 += _evanescent_tail(tail_00, n2 + 1, 1, series_spec)
-    return CartesianGreen(float(par), float(perp), float(g00))
+    The finitely many open modes (tau_m^2 < 0) continue through Bessel
+    J and Y (:func:`_continued_k`), so the columns are complex when some
+    k^2 > 0 and real otherwise.  With ``deriv`` the d/d(k^2) of the same
+    sums is returned too, from dK0(r tau)/d(k^2) = (r/2) K1(r tau)/tau and
+    d[tau K1(r tau)]/d(k^2) = (r/2) K0(r tau).
+
+    The term count M is fixed per entry (:func:`_term_count`); entries
+    are sorted by M and summed in blocks of at most _SUM_BLOCK entry x
+    term elements, cut along the entries and, for a single long entry,
+    along m.  ConvergenceError is raised when a family would need more
+    than ``n_max`` terms.
+    """
+    a = PI / d
+    m_need = _term_count(r, d, k2)
+    if n_max is not None and (m_need.max(initial=0) + 1) // 2 > n_max:
+        raise ConvergenceError(
+            f"mode sums need {(m_need.max() + 1) // 2} terms per family, "
+            f"more than n_max = {n_max}")
+    order = np.argsort(m_need)
+    m_need, k2s = m_need[order], k2[order]
+    out = np.empty((6 if deriv else 3, k2.size),
+                   complex if (k2 > 0).any() else float)
+    start = 0
+    while start < k2.size:
+        window = m_need[start:start + _SUM_BLOCK // 2] + 1
+        cost = np.arange(1, window.size + 1) * window     # increasing
+        stop = start + max(1, int(np.searchsorted(cost, _SUM_BLOCK, "right")))
+        m_top = m_need[stop - 1] + 1
+        step = max(2, _SUM_BLOCK // (stop - start)) // 2 * 2
+        kb = k2s[start:stop, None]
+        acc = 0
+        for m0 in range(0, m_top, step):
+            mk = a * np.arange(m0, min(m0 + step, m_top))
+            acc = acc + _block_sums(r, kb, mk * mk, deriv)
+        out[:, order[start:stop]] = acc
+        start = stop
+    scale = np.array([-1.0, -1.0, 2.0] * (2 if deriv else 1)) / (2 * PI * d)
+    out *= scale[:, None]
+    return (out[:3], out[3:]) if deriv else out
 
 
 def green_modesum(geom: CavityGeometry, k: float,
                   series_spec: SeriesSpec = SeriesSpec(),
                   guard_band: float | None = None) -> CartesianGreen:
-    """Full complex tensor from the mode-sum representation."""
-    re = re_green_modesum(geom, k, series_spec, guard_band)
-    im = im_green_modesum(geom, k, guard_band)
-    return CartesianGreen(re.g_par + 1j * im.g_par,
-                          re.g_perp + 1j * im.g_perp,
-                          re.g_00 + 1j * im.g_00)
+    """Full complex tensor from the mode sums at real k.
+
+    The open modes give Bessel-J (imaginary) and Y (real) terms, the
+    closed ones exponentially convergent Bessel-K terms; both come from
+    :func:`_mode_sums`.  The Y0 terms diverge logarithmically at the
+    thresholds, which is the physical cavity resonance; evaluation inside
+    the guard band raises ThresholdError instead of returning a huge
+    value.  Only ``series_spec.n_max`` is read: it caps the term count.
+    """
+    _require_positive(k, "k")
+    check_threshold(k, geom.d, guard_band)
+    k2 = k * k
+    sums = _mode_sums(geom.r, geom.d, np.array([k2]),
+                      n_max=series_spec.n_max)[:, 0] / k2
+    return to_cartesian(SphericalGreen(*sums.tolist()))
+
+
+def re_green_modesum(geom: CavityGeometry, k: float,
+                     series_spec: SeriesSpec = SeriesSpec(),
+                     guard_band: float | None = None) -> CartesianGreen:
+    """Real parts of :func:`green_modesum`."""
+    g = green_modesum(geom, k, series_spec, guard_band)
+    return CartesianGreen(g.g_par.real, g.g_perp.real, g.g_00.real)
+
+
+def im_green_modesum(geom: CavityGeometry, k: float,
+                     guard_band: float | None = None) -> CartesianGreen:
+    """Imaginary parts of :func:`green_modesum`: finite sums over the open
+    modes, so the in-plane ones vanish exactly below kd = pi."""
+    g = green_modesum(geom, k, guard_band=guard_band)
+    return CartesianGreen(g.g_par.imag, g.g_perp.imag, g.g_00.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -518,54 +550,6 @@ def _imagfreq_zeta(r, d, u, spec):
     return fs + scat
 
 
-def _imagfreq_closed_sums(r, d, u):
-    """(pm, pp, 00) rows for a 1-D array u > 0 from the closed K0/K1 sums.
-
-    One index m = 1..M serves both families with kappa_m^2 =
-    (m pi/d)^2 + u^2: odd m are the in-plane modes (tau_n), even m = 2n
-    the axial ones (t_n).  M is fixed per node before summing: the terms
-    fall like e^{-r kappa_m}, so they stop once e^{-r(kappa_M - kappa_1)}
-    times the geometric remainder 1/(1 - e^{-pi r/d}) is below
-    e^{-_SUM_EXP}.  M grows with u, so the nodes are sorted and cut into
-    blocks of at most _SUM_BLOCK node x term elements, each summed to the
-    M of its largest u.
-    """
-    a = PI / d
-    order = np.argsort(u)
-    us = u[order]
-    lead = (_SUM_EXP - math.log(-math.expm1(-PI * r / d))) / r
-    kappa1 = np.sqrt(a * a + us * us)
-    # smallest M with kappa_M >= kappa_1 + lead, without cancellation
-    m_need = np.maximum(2, np.ceil(np.sqrt(
-        a * a + 2 * kappa1 * lead + lead * lead) / a)).astype(int)
-    vals = np.empty((3, us.size))
-    start = 0
-    while start < us.size:
-        window = m_need[start:start + _SUM_BLOCK // 2]
-        cost = np.arange(1, window.size + 1) * window     # increasing
-        stop = start + max(1, int(np.searchsorted(cost, _SUM_BLOCK, "right")))
-        ub = us[start:stop, None]
-        u2 = ub[:, 0] ** 2
-        mk = a * np.arange(1, m_need[stop - 1] + 1)
-        kappa = np.sqrt(mk * mk + ub * ub)
-        k0 = bessel_k(0, r * kappa)
-        k0_odd, kap_odd = k0[:, 0::2], kappa[:, 0::2]
-        k0_even, kap_even = k0[:, 1::2], kappa[:, 1::2]
-        k1_odd = bessel_k(1, r * kap_odd)
-        pref = 1.0 / (2 * PI * d * u2)
-        vals[0, start:stop] = pref * np.sum(
-            (mk[0::2] ** 2 - ub * ub) * k0_odd, axis=1)
-        vals[1, start:stop] = pref * np.sum(
-            kap_odd * (kap_odd * k0_odd + (2.0 / r) * k1_odd), axis=1)
-        vals[2, start:stop] = (-bessel_k(0, r * ub[:, 0]) / (2 * PI * d)
-                               - 2 * pref * np.sum(kap_even ** 2 * k0_even,
-                                                   axis=1))
-        start = stop
-    out = np.empty_like(vals)
-    out[:, order] = vals
-    return out
-
-
 def green_imaginary_freq(geom: CavityGeometry, u,
                          spec: QuadSpec = QuadSpec()) -> SphericalGreen:
     """Spherical components at imaginary frequency k = i*u (all real).
@@ -573,18 +557,12 @@ def green_imaginary_freq(geom: CavityGeometry, u,
     ``u`` is a scalar or a 1-D array; an array gives array-valued
     components, one entry per u, from a single call.
 
-    For r/d >= IMAGFREQ_SUM_MIN_R_OVER_D the closed sums over the cavity
-    modes are used, every mode being closed at imaginary frequency.  With
-    tau_n^2 = (n pi/d)^2 + u^2 and t_n^2 = (2 n pi/d)^2 + u^2:
-
-        g_pm = sum_{odd n} ((n pi/d)^2 - u^2) K0(r tau_n) / (2 pi d u^2)
-        g_pp = sum_{odd n} (tau_n^2 K0(r tau_n) + 2 tau_n K1(r tau_n)/r)
-               / (2 pi d u^2)
-        g_00 = -K0(u r)/(2 pi d) - sum_{n>=1} t_n^2 K0(r t_n) / (pi d u^2)
-
-    In the spherical forms the parallel and perpendicular parts do not
-    cancel, so d << r is exact where free space and the scattering
-    integral would cancel down to the quadrature tolerance.  The sums
+    For r/d >= IMAGFREQ_SUM_MIN_R_OVER_D the mode sums of
+    :func:`_mode_sums` at k^2 = -u^2 are used, every mode being closed at
+    imaginary frequency, so they are real Bessel-K0/K1 sums.  In these
+    spherical forms the parallel and perpendicular parts do not cancel,
+    so d << r is exact where free space and the scattering integral
+    would cancel down to the quadrature tolerance.  The sums
     need about 14 d/r terms per u, so below the crossover the free-space
     term plus the scattering integral over zeta in [1, inf) is used
     instead, at one adaptive quadrature per u with tolerances ``spec``.
@@ -596,7 +574,8 @@ def green_imaginary_freq(geom: CavityGeometry, u,
     r, d = geom.r, geom.d
     flat = np.atleast_1d(u_arr)
     if r / d >= IMAGFREQ_SUM_MIN_R_OVER_D:
-        vals = _imagfreq_closed_sums(r, d, flat)
+        k2 = -flat * flat
+        vals = _mode_sums(r, d, k2) / k2
     else:
         vals = np.array([_imagfreq_zeta(r, d, float(ui), spec)
                          for ui in flat]).reshape(-1, 3).T
@@ -884,74 +863,32 @@ def d_dk_k2_re_green(geom: CavityGeometry, k: float,
                      mismatch_tol: float = 1e-6) -> DkGreenResult:
     """d/dk [k^2 Re G] computed two ways.
 
-    (a) term-by-term differentiation of the mode sums using Y0' = -Y1,
-    K0' = -K1 and the chain rule through sqrt(k^2 - (n pi/d)^2); (b)
-    Richardson-extrapolated central differences of k^2 Re G.  Path (a) is
-    returned; (b) is the cross-check and DerivativeMismatchError is
-    raised when they disagree beyond ``mismatch_tol`` (relative).
+    (a) 2k times the d/d(k^2) sums of :func:`_mode_sums`; (b)
+    Richardson-extrapolated central differences of k^2 Re G, with a step
+    of at most 1/64 of the distance to the nearest mode threshold.  Path
+    (a) is returned; (b) is the cross-check and DerivativeMismatchError
+    is raised when they disagree beyond ``mismatch_tol`` (relative).
     """
     _require_positive(k, "k")
     dist = check_threshold(k, geom.d, guard_band)
-    r, d = geom.r, geom.d
-    k2 = k * k
+    r, d, n_max = geom.r, geom.d, series_spec.n_max
 
-    n1 = _open_mode_count(k, d, 1)
-    par = perp = 0.0
-    if n1 >= 1:
-        n = np.arange(1, n1 + 1, 2, dtype=float)
-        sig = np.sqrt(k2 - (n * PI / d) ** 2)
-        y0 = bessel_y(0, r * sig)
-        y1 = bessel_y(1, r * sig)
-        par = np.sum(k * y0 - (n * PI / d) ** 2 * (r * k / sig) * y1) / (2 * d)
-        perp = np.sum(k * y0 - (r * k2 * k / sig) * y1) / (2 * d)
+    def cartesian_re(sums):
+        return to_cartesian(SphericalGreen(*sums.real)).as_array()
 
-    def dpar_tail(n):
-        tau = math.sqrt((n * PI / d) ** 2 - k2)
-        return -((n * PI / d) ** 2 * (r * k / tau) * bessel_k(1, r * tau)
-                 + k * bessel_k(0, r * tau)) / (PI * d)
-
-    def dperp_tail(n):
-        tau = math.sqrt((n * PI / d) ** 2 - k2)
-        return -(k * bessel_k(0, r * tau)
-                 + (r * k2 * k / tau) * bessel_k(1, r * tau)) / (PI * d)
-
-    start = n1 + 1 if n1 % 2 == 0 else n1 + 2
-    par += _evanescent_tail(dpar_tail, start, 2, series_spec)
-    perp += _evanescent_tail(dperp_tail, start, 2, series_spec)
-
-    g00 = k * bessel_y(0, k * r) / (2 * d) \
-        - r * k2 * bessel_y(1, k * r) / (4 * d)
-    n2 = _open_mode_count(k, d, 2)
-    if n2 >= 1:
-        n = np.arange(1, n2 + 1, dtype=float)
-        s = np.sqrt(k2 - (2 * n * PI / d) ** 2)
-        g00 += np.sum(2 * k * bessel_y(0, r * s)
-                      - r * k * s * bessel_y(1, r * s)) / (2 * d)
-
-    def d00_tail(n):
-        t = math.sqrt((2 * n * PI / d) ** 2 - k2)
-        return -(2 * k * bessel_k(0, r * t)
-                 - r * k * t * bessel_k(1, r * t)) / (PI * d)
-
-    g00 += _evanescent_tail(d00_tail, n2 + 1, 1, series_spec)
-    analytic = CartesianGreen(float(par), float(perp), float(g00))
+    _, dsums = _mode_sums(r, d, np.array([k * k]), deriv=True, n_max=n_max)
+    a_arr = 2 * k * cartesian_re(dsums[:, 0])
+    analytic = CartesianGreen(*a_arr.tolist())
 
     # finite-difference cross-check with Richardson extrapolation
-    h = min(1e-3 * k, dist / 8)
+    h = min(1e-3 * k, dist / 64)
     if h <= 0:
         raise ThresholdError("no room for the finite-difference stencil")
+    kk = k + np.array([h, -h, h / 2, -h / 2])
+    g = cartesian_re(_mode_sums(r, d, kk * kk, n_max=n_max))
+    fd = (4 * (g[:, 2] - g[:, 3]) / h - (g[:, 0] - g[:, 1]) / (2 * h)) / 3
+    fd_green = CartesianGreen(*fd.tolist())
 
-    def g(kk):
-        re = re_green_modesum(geom, kk, series_spec, guard_band=0.0)
-        return kk * kk * re.as_array().real
-
-    def central(hh):
-        return (g(k + hh) - g(k - hh)) / (2 * hh)
-
-    fd = (4 * central(h / 2) - central(h)) / 3
-    fd_green = CartesianGreen(*fd)
-
-    a_arr = analytic.as_array().real
     scale = float(np.max(np.abs(a_arr)))
     denom = np.maximum(np.maximum(np.abs(a_arr), np.abs(fd)), 1e-9 * scale)
     mismatch = float(np.max(np.abs(a_arr - fd) / denom))

@@ -1,4 +1,4 @@
-"""Adaptive 1-D quadrature and series summation services.
+"""Adaptive 1-D quadrature and series services.
 
 All integrands are evaluated in batches: ``f`` receives a numpy array of
 nodes and must return either a matching 1-D array (scalar integrand) or a
@@ -30,7 +30,6 @@ __all__ = [
     "SeriesSpec",
     "integrate_finite",
     "integrate_semi_infinite_damped",
-    "sum_until_converged",
     "wynn_epsilon",
     "integrate_oscillatory_tail",
 ]
@@ -53,17 +52,21 @@ class QuadSpec:
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Truncation contract for infinite sums."""
+    """Term cap of the cavity mode sums.
+
+    The mode sums fix their term count in advance, so that the remainder
+    is below e^{-40} of the first closed mode's term (see
+    ``cavdip.green``); ``n_max`` caps the terms of each mode family and
+    ConvergenceError is raised above it.  ``rel_tol`` is no longer read;
+    it is kept so that callers that pass it keep working.
+    """
 
     rel_tol: float = 1e-10
     n_max: int = 10**6
-    consecutive_small_terms: int = 3
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.consecutive_small_terms < 1:
-            raise ValueError("consecutive_small_terms must be >= 1")
 
 
 # G7/K15 nodes and weights on [-1, 1].  The 7 Gauss nodes are a subset of
@@ -276,28 +279,6 @@ def integrate_semi_infinite_damped(f, a, damping_scale, spec=QuadSpec(),
     tail_mag = float(np.max(np.abs(tail)))
     value = value + (tail[0] if np.ndim(value) == 0 else tail)
     return value, err + tail_mag
-
-
-def sum_until_converged(term, spec=SeriesSpec()):
-    """Sum ``term(n)`` for n = 1, 2, ... until the tail is negligible.
-
-    Stops once ``consecutive_small_terms`` successive terms are each below
-    ``rel_tol * |partial sum|`` (with a tiny absolute floor so that exact
-    zeros count).  Returns ``(value, n_used)``.
-    """
-    total = 0.0
-    small = 0
-    for n in range(1, spec.n_max + 1):
-        t = term(n)
-        total += t
-        if abs(t) <= spec.rel_tol * abs(total) + 1e-300:
-            small += 1
-            if small >= spec.consecutive_small_terms:
-                return total, n
-        else:
-            small = 0
-    raise ConvergenceError(
-        f"series not converged after n_max={spec.n_max} terms")
 
 
 def wynn_epsilon(partial_sums):

@@ -9,7 +9,9 @@ modified-Bessel sums
     Vpm = -(1/2) sum_{odd n} n^2 K0(pi r n/d),
 
 which converge to the free-space values d^3/(4 pi^2 r^3),
--3 d^3/(8 pi^2 r^3) and -d^3/(8 pi^2 r^3) as r/d -> 0.  The potentials of
+-3 d^3/(8 pi^2 r^3) and -d^3/(8 pi^2 r^3) as r/d -> 0.  They are the
+cavity mode sums of :mod:`cavdip.green` at k^2 = 0, V = (d^3/pi) k^2 G,
+so they share that kernel and its fixed term count.  The potentials of
 both atoms coincide with the phase-shift rate (no factor 1/2 here: the
 calculation is first order in the coupling of each atom).
 """
@@ -22,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import TwoAtomConfig
-from .bessel import bessel_k
 from .errors import ConfigError, DegenerateError
-from .green import CavityGeometry
-from .quadrature import SeriesSpec, sum_until_converged
+from .green import CavityGeometry, _mode_sums, _term_count
+from .quadrature import SeriesSpec
 from .vdw import ChannelContribution, EnergyResult
 
 __all__ = [
@@ -39,7 +40,7 @@ __all__ = [
 
 PI = math.pi
 
-#: below this r/d the Bessel sums need ~10^4+ terms; the free-space forms
+#: below this r/d the Bessel sums need ~3000+ terms; the free-space forms
 #: are accurate to well under 0.1% there (they are the r/d -> 0 limit)
 FREE_SPACE_SWITCH = 0.005
 
@@ -102,9 +103,11 @@ def v_static_dimensionless(geom: CavityGeometry,
                            ) -> StaticPotentialTensor:
     """Dimensionless electrostatic tensor from the Bessel-K mode sums.
 
-    The (+-) and (++) sums run over odd n with weight -1/2 each; for
-    r/d below ``FREE_SPACE_SWITCH`` the free-space limits are returned
-    directly (documented in ``note``).
+    The sums are (d^3/pi) k^2 G of the cavity mode-sum kernel at k^2 = 0;
+    ``n_used`` is the kernel's term count (the largest mode index), the
+    same for all three components, and of ``spec`` only the ``n_max`` cap
+    is read.  For r/d below ``FREE_SPACE_SWITCH`` the free-space limits
+    are returned directly (documented in ``note``).
     """
     r, d = geom.r, geom.d
     if r / d < FREE_SPACE_SWITCH:
@@ -113,24 +116,11 @@ def v_static_dimensionless(geom: CavityGeometry,
             free.v00, free.vpp, free.vpm, (0, 0, 0),
             note=f"r/d = {r / d:.2e} < {FREE_SPACE_SWITCH}: free-space "
                  "limit used")
-    x = PI * r / d
-
-    v00, n00 = sum_until_converged(
-        lambda n: 4.0 * n * n * bessel_k(0, 2 * x * n), spec)
-
-    def vpp_term(m):
-        n = 2 * m - 1
-        return -0.5 * (n * n * bessel_k(0, x * n)
-                       + (2 * d / (PI * r)) * n * bessel_k(1, x * n))
-
-    vpp, npp = sum_until_converged(vpp_term, spec)
-
-    def vpm_term(m):
-        n = 2 * m - 1
-        return -0.5 * n * n * bessel_k(0, x * n)
-
-    vpm, npm = sum_until_converged(vpm_term, spec)
-    return StaticPotentialTensor(v00, vpp, vpm, (n00, npp, npm))
+    k2 = np.zeros(1)
+    vpm, vpp, v00 = ((d**3 / PI)
+                     * _mode_sums(r, d, k2, n_max=spec.n_max)[:, 0]).tolist()
+    n = int(_term_count(r, d, k2)[0])
+    return StaticPotentialTensor(v00, vpp, vpm, (n, n, n))
 
 
 def static_interaction_from_tensor(config: TwoAtomConfig, field: StaticField,

@@ -31,7 +31,7 @@ from .atoms import TwoAtomConfig, swap_conj
 from .errors import DegenerateError, DomainError, ThresholdError
 from .green import (CavityGeometry, SphericalGreen, d_dk_k2_re_green,
                     free_space_green_imag, green_imaginary_freq,
-                    im_green_modesum, re_green_modesum, to_spherical)
+                    green_modesum, to_spherical)
 from .quadrature import (QuadSpec, SeriesSpec, integrate_semi_infinite_damped)
 
 __all__ = [
@@ -309,9 +309,8 @@ def w_off_factorized(config: TwoAtomConfig, K: float,
 # ---------------------------------------------------------------------------
 
 def _spherical_parts(geom, k, series_spec, guard_band):
-    re = to_spherical(re_green_modesum(geom, k, series_spec, guard_band))
-    im = to_spherical(im_green_modesum(geom, k, guard_band))
-    return re.as_array().real, im.as_array().real
+    g = to_spherical(green_modesum(geom, k, series_spec, guard_band))
+    return g.as_array().real, g.as_array().imag
 
 
 def v_res_dimensionless(geom: CavityGeometry, K: float,

@@ -209,6 +209,19 @@ def test_evanescent_tail_convergence_error():
                          SeriesSpec(n_max=50))
 
 
+def test_mode_sums_do_not_depend_on_the_block_size(monkeypatch):
+    """Cutting the sums into blocks along the entries and along m leaves
+    them unchanged, for real, zero and imaginary k^2 (open modes at the
+    largest k^2) in one array, with and without d/d(k^2)."""
+    r, d = 0.02, 1.0                        # about 700 terms per entry
+    k2 = np.array([30.0, -4.0, 0.0, 2000.0, -0.01, 1.0])
+    whole = green._mode_sums(r, d, k2, deriv=True)
+    monkeypatch.setattr(green, "_SUM_BLOCK", 64)
+    cut = green._mode_sums(r, d, k2, deriv=True)
+    for a, b in zip(whole, cut):
+        assert np.max(np.abs(a - b) / np.abs(a)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # imaginary frequency
 # ---------------------------------------------------------------------------
@@ -362,6 +375,18 @@ def test_derivative_mismatch_error_surface():
     with pytest.raises(DerivativeMismatchError):
         d_dk_k2_re_green(CavityGeometry(r=2.0, d=20.0), 1.0,
                          mismatch_tol=1e-18)
+
+
+@pytest.mark.parametrize("kr, kd, comp, want", [
+    (0.16, 16.0, "g_par", -0.4530370140),
+    (0.16, 16.0, "g_perp", 0.05065916227),
+    (1.64, 15.5, "g_par", -0.7497335858)])
+def test_derivative_matches_high_precision_reference(kr, kd, comp, want):
+    """Near a mode threshold: 25-digit mpmath central differences of the
+    same mode sums, and the finite-difference cross-check within 1e-7."""
+    res = d_dk_k2_re_green(CavityGeometry(r=kr, d=kd), 1.0)
+    assert abs(getattr(res.analytic, comp) / want - 1) <= 3e-10
+    assert res.max_rel_mismatch <= 1e-7
 
 
 def test_derivative_threshold_guard():

@@ -7,10 +7,11 @@ import pytest
 from scipy import special
 
 from cavdip.errors import ConvergenceError
+from cavdip.green import CavityGeometry
 from cavdip.quadrature import (QuadSpec, SeriesSpec, integrate_finite,
                                integrate_oscillatory_tail,
-                               integrate_semi_infinite_damped,
-                               sum_until_converged, wynn_epsilon)
+                               integrate_semi_infinite_damped, wynn_epsilon)
+from cavdip.static import v_static_dimensionless
 
 SPEC = QuadSpec()
 
@@ -136,28 +137,15 @@ def test_convergence_error_on_budget_exhaustion():
                                   max_subdivisions=8))
 
 
-def test_series_geometric():
-    val, n = sum_until_converged(lambda n: 0.5**n, SeriesSpec())
-    assert abs(val - 1.0) < 1e-10
-
-
 def test_series_bessel_vs_brute_force():
-    term = lambda n: n * n * special.k0(n)
-    val, _ = sum_until_converged(term, SeriesSpec())
-    brute = sum(term(n) for n in range(1, 10_001))
+    """The mode-sum kernel's fixed term count on a long Bessel-K sum: the
+    static V00 = 4 sum n^2 K0(2 pi rho n) at rho = 1/(2 pi), that is
+    4 sum n^2 K0(n), against 10^4 terms summed directly."""
+    rho = 1 / (2 * math.pi)
+    val = v_static_dimensionless(CavityGeometry(r=rho, d=1.0)).v00
+    n = np.arange(1, 10_001, dtype=float)
+    brute = 4 * np.sum(n * n * special.k0(n))
     assert abs(val - brute) <= 1e-10 * brute
-
-
-def test_series_all_zero_terms():
-    spec = SeriesSpec(consecutive_small_terms=3)
-    val, n = sum_until_converged(lambda n: 0.0, spec)
-    assert val == 0.0
-    assert n == spec.consecutive_small_terms
-
-
-def test_series_convergence_error():
-    with pytest.raises(ConvergenceError):
-        sum_until_converged(lambda n: 1.0 / n, SeriesSpec(n_max=500))
 
 
 def test_spec_validation():

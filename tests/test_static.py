@@ -64,6 +64,22 @@ def test_free_space_limit_ratio():
     assert np.max(np.abs(ratios - 1)) < 0.01
 
 
+@pytest.mark.parametrize("rho", [0.005, 0.01, 0.02])
+def test_image_law_at_small_separation(rho):
+    """r << d (rho = r/d): the first image corrections of the ratios to
+    free space are -4 zeta(3) rho^3 (00) and 3 zeta(3) rho^3 (+-), each
+    up to a relative O(rho^2), and the (++) ratio departs from 1 only at
+    O(rho^5)."""
+    geom = CavityGeometry(r=rho, d=1.0)
+    v = v_static_dimensionless(geom)
+    r00, rpp, rpm = v.as_array() / v_static_free(geom).as_array()
+    z3 = special.zeta(3)
+    assert abs((r00 - 1) / (-4 * z3 * rho**3) - 1) <= 4 * rho**2
+    assert abs((rpm - 1) / (3 * z3 * rho**3) - 1) <= 4 * rho**2
+    assert abs(rpp - 1) <= 3 * rho**5
+    assert v.n_used[0] == v.n_used[1] == v.n_used[2] > 0
+
+
 def test_tiny_ratio_switches_to_free_space():
     geom = CavityGeometry(r=0.001, d=1.0)
     v = v_static_dimensionless(geom)
