@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError
+from .errors import ConfigError, DegenerateError, DomainError
 from .green import CavityGeometry
 
 __all__ = [
@@ -36,6 +36,9 @@ __all__ = [
     "TwoAtomConfig",
     "ValidationReport",
     "RegimeReport",
+    "ResonantChannel",
+    "resonant_channels",
+    "coupled_channels",
     "spherical_from_cartesian",
     "swap_conj",
     "validate",
@@ -218,38 +221,126 @@ class RegimeReport:
         return not self.flagged
 
 
-def _regime_detunings(config: TwoAtomConfig):
-    """Detunings (rad/s) whose magnitude bounds the perturbative regime."""
+@dataclass(frozen=True)
+class ResonantChannel:
+    """One term (i, j) of a resonant energy sum.
+
+    The term is evaluated at k = omega_k/c with the Green tensor
+    contractions R = x.Re G.y and I = x.Im G.y and the kernel
+
+        kern = 2 omega_other k^4 / (eps0^2 hbar (omega_k^2 - omega_other^2)):
+
+    w_a takes sign kern (|R|^2 + im_sign_a |I|^2), w_b the opposite Im
+    sign, and the phase shift sign kern (|R|^2 - |I|^2).  ``omega_other``
+    is None for the identical-atom double pole i = j, whose term carries
+    d/dk[k^2 Re G] instead.  ``name`` labels the channel in the regime
+    report; it is None for the double pole (no detuning) and for the
+    second evaluation of a channel whose detuning is already listed.
+    """
+
+    i: int
+    j: int
+    tag: str
+    name: str | None
+    omega_k: float
+    omega_other: float | None
+    x: np.ndarray
+    y: np.ndarray
+    sign: float = 1.0
+    im_sign_a: float = -1.0
+
+
+def resonant_channels(config: TwoAtomConfig, formula: str):
+    """Yield the channel table of one resonant formula, in evaluation order.
+
+    ``formula`` is a scenario name: "one-excited" (either atom excited),
+    "both-excited-dissimilar" (atom A excited; B may be in its ground
+    state, where the j < b families are empty) or
+    "both-excited-identical".  "both-ground" has no resonant channel.
+    """
     a, b = config.state_a, config.state_b
     A, B = config.atom_a, config.atom_b
-    scen = config.scenario()
-    out = []
-    if scen == "one-excited" and b > 0:
-        A, B, a, b = B, A, b, a
-    if scen == "one-excited":
-        for i in (i for i in A.coupled_to(a) if i < a):
+
+    def below(atom, state):
+        return [i for i in atom.coupled_to(state) if i < state]
+
+    def above(atom, state):
+        return [i for i in atom.coupled_to(state) if i > state]
+
+    if formula == "one-excited":
+        # the excited atom's downward channels against every transition of
+        # the ground atom; with B excited the Im signs of w_a, w_b swap
+        im_sign_a = -1.0
+        if b > 0:
+            A, B, a, im_sign_a = B, A, b, 1.0
+        for i in below(A, a):
+            omega_ai = A.omega(a) - A.omega(i)
             for j in B.coupled_to(0):
-                out.append((f"(i={i},j={j})",
-                            (A.omega(a) - A.omega(i)) - (B.omega(j) - B.omega(0))))
-    elif scen == "both-excited-dissimilar":
-        for i in (i for i in A.coupled_to(a) if i < a):
-            for j in (j for j in B.coupled_to(b) if j > b):
-                out.append((f"(i={i}<a,j={j}>b)",
-                            (A.omega(a) - A.omega(i)) - (B.omega(j) - B.omega(b))))
-        for i in (i for i in A.coupled_to(a) if i > a):
-            for j in (j for j in B.coupled_to(b) if j < b):
-                out.append((f"(i={i}>a,j={j}<b)",
-                            (B.omega(b) - B.omega(j)) - (A.omega(i) - A.omega(a))))
-        for i in (i for i in A.coupled_to(a) if i < a):
-            for j in (j for j in B.coupled_to(b) if j < b):
-                out.append((f"(i={i}<a,j={j}<b)",
-                            (A.omega(a) - A.omega(i)) - (B.omega(b) - B.omega(j))))
-    elif scen == "both-excited-identical":
-        for i in (i for i in A.coupled_to(a) if i < a):
+                yield ResonantChannel(
+                    i, j, "res-1exc", f"(i={i},j={j})", omega_ai,
+                    B.omega(j) - B.omega(0), A.dipole(a, i), B.dipole(0, j),
+                    im_sign_a=im_sign_a)
+    elif formula == "both-excited-dissimilar":
+        for i in below(A, a):
+            for j in above(B, b):
+                yield ResonantChannel(
+                    i, j, "res-2exc(i<a,j>b)", f"(i={i}<a,j={j}>b)",
+                    A.omega(a) - A.omega(i), B.omega(j) - B.omega(b),
+                    A.dipole(a, i), B.dipole(b, j))
+        for i in above(A, a):
+            for j in below(B, b):
+                yield ResonantChannel(
+                    i, j, "res-2exc(i>a,j<b)", f"(i={i}>a,j={j}<b)",
+                    B.omega(b) - B.omega(j), A.omega(i) - A.omega(a),
+                    B.dipole(b, j), A.dipole(a, i), im_sign_a=1.0)
+        for i in below(A, a):
+            omega_ai = A.omega(a) - A.omega(i)
+            for j in below(B, b):
+                omega_bj = B.omega(b) - B.omega(j)
+                yield ResonantChannel(
+                    i, j, "res-2exc(i<a,j<b)@k_ai", f"(i={i}<a,j={j}<b)",
+                    omega_ai, omega_bj, A.dipole(a, i), B.dipole(j, b),
+                    sign=-1.0)
+                yield ResonantChannel(
+                    i, j, "res-2exc(i<a,j<b)@k_bj", None, omega_bj, omega_ai,
+                    B.dipole(b, j), A.dipole(a, i), sign=-1.0, im_sign_a=1.0)
+    elif formula == "both-excited-identical":
+        # i != j: a pure ReRe potential shared by both atoms; i = j: the
+        # double pole
+        for i in below(A, a):
+            omega_ai = A.omega(a) - A.omega(i)
+            x = A.dipole(a, i)
             for j in (j for j in A.coupled_to(a) if j != i):
-                out.append((f"(i={i},j={j})",
-                            (A.omega(a) - A.omega(i)) - (A.omega(j) - A.omega(a))))
-    return out
+                yield ResonantChannel(
+                    i, j, "res-identical(i!=j)", f"(i={i},j={j})", omega_ai,
+                    A.omega(j) - A.omega(a), x, A.dipole(j, a), sign=2.0,
+                    im_sign_a=0.0)
+            yield ResonantChannel(i, i, "res-identical(i=j)", None, omega_ai,
+                                  None, x, swap_conj(x))
+    elif formula != "both-ground":
+        raise DomainError(f"unknown resonant formula {formula!r}")
+
+
+def coupled_channels(config: TwoAtomConfig):
+    """(i, j, omega_ia, omega_jb, x=<a|d|i>, y=<j|d|b>) for every coupled
+    pair of transitions, the channels of the off-resonant and
+    electrostatic sums."""
+    a, b = config.state_a, config.state_b
+    A, B = config.atom_a, config.atom_b
+    channels = []
+    for i in A.coupled_to(a):
+        omega_ia = A.omega(i) - A.omega(a)
+        if omega_ia == 0.0:
+            raise DegenerateError(
+                f"omega_ia = 0 for channel i={i} (atom {A.label!r})")
+        for j in B.coupled_to(b):
+            omega_jb = B.omega(j) - B.omega(b)
+            if omega_jb == 0.0:
+                raise DegenerateError(
+                    f"omega_jb = 0 for channel j={j} (atom {B.label!r})")
+            channels.append((i, j, omega_ia, omega_jb,
+                             A.dipole(a, i), B.dipole(j, b)))
+    return channels
 
 
 def check_perturbative_regime(config: TwoAtomConfig, w_estimate: float,
@@ -263,7 +354,10 @@ def check_perturbative_regime(config: TwoAtomConfig, w_estimate: float,
     hbar = config.constants.hbar
     ratios = []
     flagged = []
-    for name, det in _regime_detunings(config):
+    for ch in resonant_channels(config, config.scenario()):
+        if ch.name is None:
+            continue
+        name, det = ch.name, ch.omega_k - ch.omega_other
         if det == 0.0:
             raise DegenerateError(
                 f"channel {name}: zero detuning, perturbative formulas "

@@ -195,6 +195,16 @@ def _with_geometry(cfg, geometry):
     return replace(cfg, geometry=geometry)
 
 
+def _load_atoms(path):
+    """The configuration and static field of an atoms document, read once."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed JSON: {exc}") from None
+    return load_two_atom_config(doc), _parse_field(doc.get("field"))
+
+
 def _parse_field(obj) -> StaticField | None:
     if obj is None:
         return None
@@ -218,10 +228,14 @@ def _tolerances(args, overrides=None):
     overrides = overrides or {}
     rel = overrides.get("rel_tol", args.rel_tol)
     abs_tol = overrides.get("abs_tol", 1e-12)
-    m_max = int(overrides.get("m_max", args.m_max))
     guard = overrides.get("guard_band", args.guard_band)
+    try:
+        m_max = int(overrides.get("m_max", args.m_max))
+        quad = QuadSpec(rel_tol=rel, abs_tol=abs_tol)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad tolerances: {exc}") from None
     return {
-        "quad": QuadSpec(rel_tol=rel, abs_tol=abs_tol),
+        "quad": quad,
         "m_max": m_max,
         "guard_band": guard,
         "rel_tol": rel,
@@ -256,10 +270,7 @@ def cmd_eval(args) -> int:
     tols = _tolerances(args)
     config = field = None
     if args.config:
-        config = load_two_atom_config(args.config)
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        field = _parse_field(raw.get("field"))
+        config, field = _load_atoms(args.config)
     params = {}
     for name in ("Kr", "Kd", "r_over_d"):
         v = getattr(args, name.lower().replace("/", "_"), None)
@@ -286,8 +297,11 @@ def cmd_eval(args) -> int:
 
 
 def _grid_values(grid):
-    start, stop = float(grid["start"]), float(grid["stop"])
-    points = int(grid["points"])
+    try:
+        start, stop = float(grid["start"]), float(grid["stop"])
+        points = int(grid["points"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed grid: {exc!r}") from None
     if points < 2:
         raise ConfigError("grid needs points >= 2")
     if not start < stop:
@@ -316,11 +330,15 @@ def cmd_sweep(args) -> int:
                 raise ConfigError(f"malformed sweep JSON: {exc}") from None
     else:
         raise ConfigError("sweep needs --preset or --config")
+    if not isinstance(sweep, dict):
+        raise ConfigError("sweep document must be a JSON object")
     quantity = sweep.get("quantity")
     if quantity not in QUANTITIES:
         raise ConfigError(f"unknown quantity {quantity!r}")
-    grid = sweep["grid"]
-    variable = grid["variable"]
+    grid = sweep.get("grid")
+    if not isinstance(grid, dict):
+        raise ConfigError("sweep needs a 'grid' object")
+    variable = grid.get("variable")
     if variable not in ("Kr", "Kd", "r_over_d"):
         raise ConfigError(f"unknown sweep variable {variable!r}")
     fixed = dict(sweep.get("fixed", {}))
@@ -334,33 +352,30 @@ def cmd_sweep(args) -> int:
         if not atoms_doc:
             raise ConfigError(f"{quantity} sweeps need an atoms document "
                               "(--atoms or 'atoms_config')")
-        config = load_two_atom_config(atoms_doc)
-        with open(atoms_doc, encoding="utf-8") as fh:
-            field = _parse_field(json.load(fh).get("field"))
+        config, field = _load_atoms(atoms_doc)
 
     values = _grid_values(grid)
 
-    def one(idx_value):
-        idx, value = idx_value
+    def one(value):
         params = dict(fixed)
         params[variable] = float(value)
         try:
             row = _eval_point(quantity, params, tols, config, field,
                               include_free)
             row.pop("breakdown", None)  # per-channel detail is eval-only
-            return idx, params, row, ""
+            return params, row, ""
         except ThresholdError as err:
-            return idx, params, None, f"threshold: {err}"
+            return params, None, f"threshold: {err}"
 
-    items = list(enumerate(values))
     if args.threads > 1:
+        # the Bessel kernels release the GIL; map keeps the input order
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = sorted(pool.map(one, items), key=lambda t: t[0])
+            results = list(pool.map(one, values))
     else:
-        results = [one(item) for item in items]
+        results = [one(value) for value in values]
 
     columns = None
-    for _, _, row, _ in results:
+    for _, row, _ in results:
         if row is not None:
             columns = list(row.keys())
             break
@@ -379,7 +394,7 @@ def cmd_sweep(args) -> int:
     if fmt == "csv":
         lines.extend(meta)
         lines.append(",".join(header))
-        for _, params, row, diag in results:
+        for params, row, diag in results:
             cells = [_format_cell(params[variable])]
             if row is None:
                 cells.extend([""] * len(columns))
@@ -397,7 +412,7 @@ def cmd_sweep(args) -> int:
                                         "m_max": tols["m_max"]},
                          "sign_convention": SIGN_NOTE},
             "rows": [dict(params, **(row or {}), diagnostics=diag)
-                     for _, params, row, diag in results],
+                     for params, row, diag in results],
         }
         text = json.dumps(payload, indent=2, default=float) + "\n"
     else:
@@ -405,7 +420,7 @@ def cmd_sweep(args) -> int:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        skipped = sum(1 for _, _, row, _ in results if row is None)
+        skipped = sum(1 for _, row, _ in results if row is None)
         print(f"wrote {len(results)} rows ({skipped} threshold-skipped) "
               f"to {out_path}")
     else:
@@ -483,8 +498,7 @@ def _build_parser():
     ps.add_argument("--threads", type=int, default=1)
     ps.set_defaults(func=cmd_sweep)
 
-    pv = sub.add_parser("verify", parents=[common],
-                        help="run the cross-validation suite")
+    pv = sub.add_parser("verify", help="run the cross-validation suite")
     pv.add_argument("--level", choices=("quick", "full"), default="quick")
     pv.add_argument("--json", help="write machine-readable verdict here")
     pv.set_defaults(func=cmd_verify)

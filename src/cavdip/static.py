@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import TwoAtomConfig
-from .errors import ConfigError, DegenerateError
+from .atoms import TwoAtomConfig, coupled_channels
+from .errors import ConfigError
 from .green import CavityGeometry, _mode_sums, _term_count
 from .quadrature import SeriesSpec
 from .vdw import ChannelContribution, EnergyResult
@@ -134,34 +134,24 @@ def static_interaction_from_tensor(config: TwoAtomConfig, field: StaticField,
     quadratics; both potentials and the phase shift coincide.
     """
     cn = config.constants
-    geom = config.geometry
-    a, b = config.state_a, config.state_b
-    A, B = config.atom_a, config.atom_b
     e0, ep, em = field.e0_spherical
     e2_0 = abs(e0) ** 2
     e2_p = abs(ep) ** 2
     e2_m = abs(em) ** 2
     e2_x = abs(ep) * abs(em)
-    pref = 4 * PI / (cn.epsilon0 * cn.hbar**2 * geom.d**3)
+    pref = 4 * PI / (cn.epsilon0 * cn.hbar**2 * config.geometry.d**3)
     total = 0.0
     breakdown = []
-    for i in A.coupled_to(a):
-        omega_ia = A.omega(i) - A.omega(a)
-        if omega_ia == 0.0:
-            raise DegenerateError(f"omega_ia = 0 for channel i={i}")
-        pa = np.abs(A.dipole(i, a)) ** 2          # |<i|d^p|a>|^2, (0,+,-)
-        for j in B.coupled_to(b):
-            omega_jb = B.omega(j) - B.omega(b)
-            if omega_jb == 0.0:
-                raise DegenerateError(f"omega_jb = 0 for channel j={j}")
-            pb = np.abs(B.dipole(j, b)) ** 2
-            phi = ((pa[1] * pb[1] * e2_p + pa[2] * pb[2] * e2_m) * tensor.vpp
-                   + pa[0] * pb[0] * e2_0 * tensor.v00
-                   + (pa[1] * pb[2] + pa[2] * pb[1]) * e2_x * tensor.vpm)
-            w = pref * phi / (omega_ia * omega_jb)
-            total += w
-            breakdown.append(ChannelContribution(i, j, "static", 0.0,
-                                                 w, w, w))
+    for i, j, omega_ia, omega_jb, x, y in coupled_channels(config):
+        # |<i|d^p|a>|^2 in (0,+,-) order: x = <a|d|i> with +/- swapped
+        pa = np.abs(x)[[0, 2, 1]] ** 2
+        pb = np.abs(y) ** 2
+        phi = ((pa[1] * pb[1] * e2_p + pa[2] * pb[2] * e2_m) * tensor.vpp
+               + pa[0] * pb[0] * e2_0 * tensor.v00
+               + (pa[1] * pb[2] + pa[2] * pb[1]) * e2_x * tensor.vpm)
+        w = pref * phi / (omega_ia * omega_jb)
+        total += w
+        breakdown.append(ChannelContribution(i, j, "static", 0.0, w, w, w))
     return EnergyResult(total, total, total, total / cn.hbar, "static",
                         breakdown)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atoms import TwoAtomConfig, swap_conj
+from .atoms import TwoAtomConfig, coupled_channels, resonant_channels
 from .errors import DegenerateError, DomainError, ThresholdError
 from .green import (CavityGeometry, SphericalGreen, d_dk_k2_re_green,
                     free_space_green_imag, green_imaginary_freq,
@@ -193,26 +193,6 @@ def v_off_free_dimensionless(kr: float,
                            family="off")
 
 
-def _off_channels(config: TwoAtomConfig):
-    """(i, j, omega_ia, omega_jb, x=<a|d|i>, y=<j|d|b>) for all couplings."""
-    a, b = config.state_a, config.state_b
-    A, B = config.atom_a, config.atom_b
-    channels = []
-    for i in A.coupled_to(a):
-        omega_ia = A.omega(i) - A.omega(a)
-        if omega_ia == 0.0:
-            raise DegenerateError(
-                f"omega_ia = 0 for channel i={i} (atom {A.label!r})")
-        for j in B.coupled_to(b):
-            omega_jb = B.omega(j) - B.omega(b)
-            if omega_jb == 0.0:
-                raise DegenerateError(
-                    f"omega_jb = 0 for channel j={j} (atom {B.label!r})")
-            channels.append((i, j, omega_ia, omega_jb,
-                             A.dipole(a, i), B.dipole(j, b)))
-    return channels
-
-
 def w_off_full(config: TwoAtomConfig,
                spec: QuadSpec = QuadSpec(rel_tol=1e-8)) -> EnergyResult:
     """Off-resonant potential from the imaginary-frequency integral.
@@ -224,7 +204,7 @@ def w_off_full(config: TwoAtomConfig,
     """
     cn = config.constants
     geom = config.geometry
-    channels = _off_channels(config)
+    channels = coupled_channels(config)
     if not channels:
         return EnergyResult(0.0, 0.0, 0.0, 0.0, "off", [])
     k_scales = [abs(w) / cn.c for _, _, w_ia, w_jb, _, _ in channels
@@ -272,34 +252,26 @@ def w_off_factorized(config: TwoAtomConfig, K: float,
     contraction of :func:`w_off_full` for pure transitions.
     """
     cn = config.constants
+    channels = coupled_channels(config)
     v = v_off_dimensionless(config.geometry, K, spec)
-    a, b = config.state_a, config.state_b
-    A, B = config.atom_a, config.atom_b
     total = 0.0
     breakdown = []
     pref = -2.0 * K**5 / (PI * cn.hbar * cn.epsilon0**2 * cn.c)
-    for i in A.coupled_to(a):
-        for j in B.coupled_to(b):
-            x = A.dipole(a, i)
-            y = B.dipole(b, j)
-            omega_ia = A.omega(i) - A.omega(a)
-            omega_jb = B.omega(j) - B.omega(b)
-            if omega_ia == 0.0 or omega_jb == 0.0:
-                raise DegenerateError(
-                    f"zero transition frequency in channel (i={i}, j={j})")
-            # sign of the product of the two signed transition frequencies,
-            # matching the kernel of the exact integral (attractive for
-            # both-ground pairs)
-            c_ij = math.copysign(1.0, omega_ia * omega_jb)
-            if factors and (i, j) in factors:
-                c_ij = math.copysign(abs(factors[(i, j)]), c_ij)
-            c00 = abs(x[0]) ** 2 * abs(y[0]) ** 2
-            cpp = abs(x[1]) ** 2 * abs(y[2]) ** 2 + abs(x[2]) ** 2 * abs(y[1]) ** 2
-            cpm = abs(x[1]) ** 2 * abs(y[1]) ** 2 + abs(x[2]) ** 2 * abs(y[2]) ** 2
-            w = pref * c_ij * (c00 * v.v00 + cpp * v.vpp + cpm * v.vpm)
-            total += w
-            breakdown.append(ChannelContribution(i, j, "off-factorized",
-                                                 0.0, w, w, w))
+    for i, j, omega_ia, omega_jb, x, y in channels:
+        # sign of the product of the two signed transition frequencies,
+        # matching the kernel of the exact integral (attractive for
+        # both-ground pairs)
+        c_ij = math.copysign(1.0, omega_ia * omega_jb)
+        if factors and (i, j) in factors:
+            c_ij = math.copysign(abs(factors[(i, j)]), c_ij)
+        # y = <j|d|b>, so its + and - components pair as in x.G.y
+        c00 = abs(x[0]) ** 2 * abs(y[0]) ** 2
+        cpp = abs(x[1]) ** 2 * abs(y[1]) ** 2 + abs(x[2]) ** 2 * abs(y[2]) ** 2
+        cpm = abs(x[1]) ** 2 * abs(y[2]) ** 2 + abs(x[2]) ** 2 * abs(y[1]) ** 2
+        w = pref * c_ij * (c00 * v.v00 + cpp * v.vpp + cpm * v.vpm)
+        total += w
+        breakdown.append(ChannelContribution(i, j, "off-factorized",
+                                             0.0, w, w, w))
     return EnergyResult(total, total, total, total / cn.hbar,
                         "off-factorized", breakdown)
 
@@ -332,27 +304,65 @@ def v_res_dimensionless(geom: CavityGeometry, K: float,
             PotentialTensor(v00=vb[2], vpp=vb[1], vpm=vb[0], family="resB"))
 
 
-def _green_cache(geom, series_spec, guard_band):
-    cache: dict[float, tuple] = {}
+def _resonant_sum(config, formula, family, series_spec, guard_band,
+                  derivative_check=True, derivative_path="analytic"):
+    """Evaluate the channel table of ``formula`` (see
+    :func:`cavdip.atoms.resonant_channels`) into an EnergyResult.
 
-    def get(k):
-        if k not in cache:
-            cache[k] = _spherical_parts(geom, k, series_spec, guard_band)
-        return cache[k]
-
-    return get
-
-
-def _finalize_resonant(config, breakdown, family):
+    A channel whose k sits inside a threshold guard band is recorded as
+    skipped; if every channel is skipped, ThresholdError is raised.
+    """
     cn = config.constants
+    geom = config.geometry
+    greens: dict[float, tuple] = {}
+    breakdown = []
+    for ch in resonant_channels(config, formula):
+        k = ch.omega_k / cn.c
+        if ch.omega_other is not None:
+            denom = ch.omega_k**2 - ch.omega_other**2
+            if denom == 0.0:
+                raise DegenerateError(
+                    f"vanishing detuning denominator in channel {ch.tag} "
+                    f"(i={ch.i}, j={ch.j})")
+        try:
+            if k not in greens:
+                greens[k] = _spherical_parts(geom, k, series_spec, guard_band)
+            re, im = greens[k]
+            if ch.omega_other is None:
+                dk_res = d_dk_k2_re_green(geom, k, series_spec, guard_band,
+                                          check=derivative_check)
+                dk_cart = (dk_res.analytic if derivative_path == "analytic"
+                           else dk_res.finite_difference)
+                dk = to_spherical(dk_cart).as_array().real
+        except ThresholdError as err:
+            breakdown.append(ChannelContribution(
+                ch.i, ch.j, ch.tag, k, skipped=True, reason=str(err)))
+            continue
+        if ch.omega_other is None:
+            # double pole: -2 Re G d/dk[k^2 Re G] joins the ReRe term
+            kern = k**2 / (cn.epsilon0**2 * cn.c * cn.hbar)
+            f_r = contract(ch.x, re, ch.y).real
+            f_i = contract(ch.x, im, ch.y).real
+            f_d = contract(ch.x, dk, ch.y).real
+            w = kern * (k * f_r * f_r - 2 * f_r * f_d)
+            breakdown.append(ChannelContribution(
+                ch.i, ch.j, ch.tag, k, w, w,
+                kern * (k * f_r * f_r - k * f_i * f_i - 2 * f_r * f_d)))
+            continue
+        kern = ch.sign * (2 * ch.omega_other * k**4
+                          / (cn.epsilon0**2 * cn.hbar * denom))
+        r2 = abs(contract(ch.x, re, ch.y)) ** 2
+        i2 = abs(contract(ch.x, im, ch.y)) ** 2
+        breakdown.append(ChannelContribution(
+            ch.i, ch.j, ch.tag, k, kern * (r2 + ch.im_sign_a * i2),
+            kern * (r2 - ch.im_sign_a * i2), kern * (r2 - i2)))
     live = [c for c in breakdown if not c.skipped]
     if breakdown and not live:
         raise ThresholdError(
             "all resonant channels fall inside mode-threshold guard bands")
-    w_a = sum(c.w_a for c in live)
-    w_b = sum(c.w_b for c in live)
     phase = sum(c.phase for c in live)
-    return EnergyResult(w_a, w_b, phase, phase / cn.hbar, family, breakdown)
+    return EnergyResult(sum(c.w_a for c in live), sum(c.w_b for c in live),
+                        phase, phase / cn.hbar, family, breakdown)
 
 
 def w_res_one_excited(config: TwoAtomConfig,
@@ -373,50 +383,8 @@ def w_res_one_excited(config: TwoAtomConfig,
     scen = config.scenario()
     if scen != "one-excited":
         raise DomainError(f"scenario is {scen!r}, not one-excited")
-    swapped = config.state_b > 0
-    if swapped:
-        exc, gnd = config.atom_b, config.atom_a
-        state_exc = config.state_b
-    else:
-        exc, gnd = config.atom_a, config.atom_b
-        state_exc = config.state_a
-    cn = config.constants
-    geom = config.geometry
-    greens = _green_cache(geom, series_spec, guard_band)
-    breakdown = []
-    for i in (i for i in exc.coupled_to(state_exc) if i < state_exc):
-        omega_ai = exc.omega(state_exc) - exc.omega(i)
-        k_ai = omega_ai / cn.c
-        x = exc.dipole(state_exc, i)
-        try:
-            re, im = greens(k_ai)
-        except ThresholdError as err:
-            for j in gnd.coupled_to(0):
-                breakdown.append(ChannelContribution(
-                    i, j, "res-1exc", k_ai, skipped=True, reason=str(err)))
-            continue
-        for j in gnd.coupled_to(0):
-            omega_j0 = gnd.omega(j) - gnd.omega(0)
-            denom = omega_ai**2 - omega_j0**2
-            if denom == 0.0:
-                raise DegenerateError(
-                    f"vanishing detuning denominator for channel "
-                    f"(i={i}, j={j})")
-            y = gnd.dipole(0, j)
-            kern = 2.0 * omega_j0 * k_ai**4 / (cn.epsilon0**2 * cn.hbar * denom)
-            r2 = abs(contract(x, re, y)) ** 2
-            i2 = abs(contract(x, im, y)) ** 2
-            wa = kern * (r2 - i2)
-            wb = kern * (r2 + i2)
-            breakdown.append(ChannelContribution(i, j, "res-1exc", k_ai,
-                                                 wa, wb, wa))
-    result = _finalize_resonant(config, breakdown, "res-one-excited")
-    if swapped:
-        # roles were exchanged; the phase shift follows the excited atom
-        result.w_a, result.w_b = result.w_b, result.w_a
-        for c in result.breakdown:
-            c.w_a, c.w_b = c.w_b, c.w_a
-    return result
+    return _resonant_sum(config, scen, "res-one-excited", series_spec,
+                         guard_band)
 
 
 def w_res_two_excited_dissimilar(config: TwoAtomConfig,
@@ -435,79 +403,9 @@ def w_res_two_excited_dissimilar(config: TwoAtomConfig,
     if config.state_a == 0 or scen == "both-excited-identical":
         raise DomainError(f"scenario is {scen!r}; need atom A excited and "
                           "atoms dissimilar")
-    cn = config.constants
-    geom = config.geometry
-    a, b = config.state_a, config.state_b
-    A, B = config.atom_a, config.atom_b
-    greens = _green_cache(geom, series_spec, guard_band)
-    breakdown = []
-
-    down_a = [i for i in A.coupled_to(a) if i < a]
-    up_b = [j for j in B.coupled_to(b) if j > b]
-    up_a = [i for i in A.coupled_to(a) if i > a]
-    down_b = [j for j in B.coupled_to(b) if j < b]
-
-    def add(i, j, tag, k_eval, kern, x, y, sign, im_sign_a):
-        """One channel: w_a gets kern*(R^2 + im_sign_a I^2), w_b the
-        opposite Im sign; the phase shift always takes (R^2 - I^2)."""
-        try:
-            re, im = greens(k_eval)
-        except ThresholdError as err:
-            breakdown.append(ChannelContribution(
-                i, j, tag, k_eval, skipped=True, reason=str(err)))
-            return
-        r2 = abs(contract(x, re, y)) ** 2
-        i2 = abs(contract(x, im, y)) ** 2
-        breakdown.append(ChannelContribution(
-            i, j, tag, k_eval,
-            sign * kern * (r2 + im_sign_a * i2),
-            sign * kern * (r2 - im_sign_a * i2),
-            sign * kern * (r2 - i2)))
-
-    for i in down_a:
-        omega_ai = A.omega(a) - A.omega(i)
-        k_ai = omega_ai / cn.c
-        x = A.dipole(a, i)
-        for j in up_b:
-            omega_jb = B.omega(j) - B.omega(b)
-            denom = omega_ai**2 - omega_jb**2
-            if denom == 0.0:
-                raise DegenerateError(f"zero detuning (i={i}<a, j={j}>b)")
-            kern = 2 * omega_jb * k_ai**4 / (cn.epsilon0**2 * cn.hbar * denom)
-            add(i, j, "res-2exc(i<a,j>b)", k_ai, kern, x, B.dipole(b, j),
-                +1.0, -1.0)
-
-    for i in up_a:
-        omega_ia = A.omega(i) - A.omega(a)
-        for j in down_b:
-            omega_bj = B.omega(b) - B.omega(j)
-            k_bj = omega_bj / cn.c
-            denom = omega_bj**2 - omega_ia**2
-            if denom == 0.0:
-                raise DegenerateError(f"zero detuning (i={i}>a, j={j}<b)")
-            kern = 2 * omega_ia * k_bj**4 / (cn.epsilon0**2 * cn.hbar * denom)
-            add(i, j, "res-2exc(i>a,j<b)", k_bj, kern, B.dipole(b, j),
-                A.dipole(a, i), +1.0, +1.0)
-
-    for i in down_a:
-        omega_ai = A.omega(a) - A.omega(i)
-        k_ai = omega_ai / cn.c
-        x = A.dipole(a, i)
-        for j in down_b:
-            omega_bj = B.omega(b) - B.omega(j)
-            k_bj = omega_bj / cn.c
-            denom = omega_ai**2 - omega_bj**2
-            if denom == 0.0:
-                raise DegenerateError(f"zero detuning (i={i}<a, j={j}<b)")
-            kern_a = 2 * omega_bj * k_ai**4 / (cn.epsilon0**2 * cn.hbar * denom)
-            add(i, j, "res-2exc(i<a,j<b)@k_ai", k_ai, kern_a, x,
-                B.dipole(j, b), -1.0, -1.0)
-            omega_ai_num = omega_ai
-            kern_b = 2 * omega_ai_num * k_bj**4 / (cn.epsilon0**2 * cn.hbar * denom)
-            add(i, j, "res-2exc(i<a,j<b)@k_bj", k_bj, kern_b,
-                B.dipole(b, j), A.dipole(a, i), +1.0, +1.0)
-
-    return _finalize_resonant(config, breakdown, "res-two-excited-dissimilar")
+    return _resonant_sum(config, "both-excited-dissimilar",
+                         "res-two-excited-dissimilar", series_spec,
+                         guard_band)
 
 
 def w_res_two_excited_identical(config: TwoAtomConfig,
@@ -529,57 +427,9 @@ def w_res_two_excited_identical(config: TwoAtomConfig,
         raise DomainError(f"scenario is {scen!r}, not both-excited-identical")
     if derivative_path not in ("analytic", "finite-difference"):
         raise DomainError(f"unknown derivative path {derivative_path!r}")
-    cn = config.constants
-    geom = config.geometry
-    a = config.state_a
-    atom = config.atom_a
-    greens = _green_cache(geom, series_spec, guard_band)
-    breakdown = []
-    for i in (i for i in atom.coupled_to(a) if i < a):
-        omega_ai = atom.omega(a) - atom.omega(i)
-        k_ai = omega_ai / cn.c
-        x = atom.dipole(a, i)
-        partners = [j for j in atom.coupled_to(a) if j != i] + [i]
-        try:
-            re, im = greens(k_ai)
-            dk_res = d_dk_k2_re_green(geom, k_ai, series_spec, guard_band,
-                                      check=derivative_check)
-            dk_cart = (dk_res.analytic if derivative_path == "analytic"
-                       else dk_res.finite_difference)
-            dk = to_spherical(dk_cart).as_array().real
-        except ThresholdError as err:
-            for j in partners:
-                breakdown.append(ChannelContribution(
-                    i, j, "res-identical", k_ai, skipped=True,
-                    reason=str(err)))
-            continue
-        for j in partners:
-            if j != i:
-                omega_ja = atom.omega(j) - atom.omega(a)
-                denom = omega_ai**2 - omega_ja**2
-                if denom == 0.0:
-                    raise DegenerateError(
-                        f"zero denominator (i={i}, j={j}): "
-                        "|omega_ai| = |omega_ja|")
-                kern = 4 * omega_ja * k_ai**4 / (cn.epsilon0**2 * cn.hbar * denom)
-                r2 = abs(contract(x, re, atom.dipole(j, a))) ** 2
-                i2 = abs(contract(x, im, atom.dipole(j, a))) ** 2
-                w = kern * r2
-                breakdown.append(ChannelContribution(
-                    i, j, "res-identical(i!=j)", k_ai, w, w,
-                    kern * (r2 - i2)))
-            else:
-                kern = k_ai**2 / (cn.epsilon0**2 * cn.c * cn.hbar)
-                x_rev = swap_conj(x)
-                f_r = contract(x, re, x_rev).real
-                f_i = contract(x, im, x_rev).real
-                f_d = contract(x, dk, x_rev).real
-                w = kern * (k_ai * f_r * f_r - 2 * f_r * f_d)
-                ph = kern * (k_ai * f_r * f_r - k_ai * f_i * f_i
-                             - 2 * f_r * f_d)
-                breakdown.append(ChannelContribution(
-                    i, i, "res-identical(i=j)", k_ai, w, w, ph))
-    return _finalize_resonant(config, breakdown, "res-two-excited-identical")
+    return _resonant_sum(config, scen, "res-two-excited-identical",
+                         series_spec, guard_band, derivative_check,
+                         derivative_path)
 
 
 def w_resonant(config: TwoAtomConfig,

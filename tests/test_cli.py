@@ -169,6 +169,23 @@ def test_sweep_validates_grid(tmp_path, capsys):
     assert main(["sweep", "--config", str(path)]) == 2
     path = _sweep_doc(tmp_path, fixed={"Kd": 1.0})
     assert main(["sweep", "--config", str(path)]) == 2  # swept also fixed
+    # malformed documents exit 2 with a message, not with a traceback
+    full = {"variable": "Kd", "start": 4.0, "stop": 5.0, "points": 2}
+    malformed = [{"grid": [1.0]}, {"grid": dict(full, points="x")},
+                 {"tolerances": {"rel_tol": 0.0}}]
+    malformed += [{"grid": {k: v for k, v in full.items() if k != key}}
+                  for key in full]
+    for overrides in malformed:
+        path = _sweep_doc(tmp_path, **overrides)
+        assert main(["sweep", "--config", str(path)]) == 2, overrides
+    for doc in ([1, 2], {"quantity": "green_modesum", "fixed": {"Kr": 1}}):
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(path)]) == 2, doc
+    path = _sweep_doc(tmp_path, grid=full, tolerances={})
+    assert main(["sweep", "--config", str(path)]) == 0
+    assert main(["sweep", "--config", str(path), "--rel-tol", "-1"]) == 2
+    assert main(["eval", "--quantity", "v_off", "--kr", "0.2", "--kd", "2",
+                 "--rel-tol", "-1"]) == 2
 
 
 def test_sweep_w_off_scales_geometry(tmp_path, atoms_json):
@@ -237,6 +254,15 @@ def test_verify_full_json_cli(tmp_path, capsys):
     assert payload["passed"] is True
     assert len(payload["checks"]) == 11
     assert all(c["passed"] is True for c in payload["checks"])
+
+
+@pytest.mark.parametrize("flag", ["--rel-tol", "--m-max", "--guard-band"])
+def test_verify_rejects_evaluation_flags(flag, capsys):
+    """verify reads none of the evaluation tolerances, so it refuses them."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verification_catches_sign_mutation():

@@ -12,6 +12,9 @@ in) and writes one record:
   ``perfbench/run.py --trace 0`` at seed 1 with the file's run length;
 * the wall and CPU time of ``cavdip sweep --preset P`` for every preset
   that ``cavdip presets`` lists, and of ``cavdip verify --level full``;
+* the least wall time of five runs of ``cavdip eval --quantity Q`` for
+  ``w_off``, ``w_res`` and ``w_static`` on fixed documents of the
+  benchmark catalogue (``EVALS``);
 * the state of the machine: ``nproc``, the load average before and after,
   and the least time of a short CPU calibration loop, so that two
   records are compared through their calibrations, not as raw seconds.
@@ -42,6 +45,12 @@ TIMEOUT_S = 3600
 #: iterations and repeats of the calibration loop
 CALIBRATION_N = 2_000_000
 CALIBRATION_REPEATS = 5
+#: (quantity, catalogue kind) of each timed ``cavdip eval``; the document
+#: is ``perfbench/workloads.make_doc(kind, 0)``
+EVALS = (("w_off", "ground"), ("w_res", "dis"), ("w_res", "ident"),
+         ("w_static", "static"))
+#: runs of each timed ``cavdip eval``; the least wall time is kept
+EVAL_REPEATS = 5
 
 
 def calibrate() -> float:
@@ -89,6 +98,22 @@ def git_state(tree) -> dict:
                                  "--untracked-files=no"))}
 
 
+def timed_evals(tree, env, cavdip, tmp) -> dict:
+    """The fastest of ``EVAL_REPEATS`` runs of each ``EVALS`` entry."""
+    sys.path.insert(0, os.path.join(tree, "perfbench"))
+    import workloads
+    out = {}
+    for quantity, kind in EVALS:
+        doc = os.path.join(tmp, f"{kind}-0.json")
+        with open(doc, "w", encoding="utf-8") as fh:
+            json.dump(workloads.make_doc(kind, 0), fh)
+        runs = [timed([*cavdip, "eval", "--quantity", quantity, "--config",
+                       doc], tree, env) for _ in range(EVAL_REPEATS)]
+        best = min(runs, key=lambda run: run["wall_s"])
+        out[f"{quantity}:{kind}/0"] = dict(best, runs=EVAL_REPEATS)
+    return out
+
+
 def record(tree: str) -> dict:
     with open(os.path.join(tree, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
@@ -120,6 +145,7 @@ def record(tree: str) -> dict:
         out["verify_full"] = timed(
             [*cavdip, "verify", "--level", "full", "--json",
              os.path.join(tmp, "verify.json")], tree, env)
+        out["evals"] = timed_evals(tree, env, cavdip, tmp)
     out["machine_after"] = machine_state()
     return out
 
