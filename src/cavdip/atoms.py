@@ -1,4 +1,5 @@
-"""Two-atom configurations: levels, transition dipoles, validation.
+"""Two-atom configurations: levels, transition dipoles, validation, and
+the channel tables that the energy sums of vdw.py and static.py evaluate.
 
 Spherical dipole components follow the convention
 
