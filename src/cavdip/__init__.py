@@ -19,9 +19,9 @@ from .green import (CartesianGreen, CavityGeometry, SphericalGreen,
                     check_threshold, d_dk_k2_re_green, free_space_green,
                     free_space_green_imag, green_imaginary_freq,
                     green_modesum, green_reflection_series,
-                    green_reflection_series_imag, greens_q_integral_oracle,
-                    im_green_modesum, kramers_kronig_re, re_green_modesum,
-                    to_cartesian, to_spherical)
+                    greens_q_integral_oracle, im_green_modesum,
+                    kramers_kronig_re, re_green_modesum, to_cartesian,
+                    to_spherical)
 from .atoms import (AtomSpec, PhysicalConstants, TwoAtomConfig,
                     check_perturbative_regime, load_two_atom_config,
                     static_polarisability, validate)

@@ -11,6 +11,7 @@ unit, so the axes are the products Kr, Kd (or the ratio r/d).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
@@ -116,7 +117,7 @@ def _eval_point(quantity, params, tols, config=None, field=None,
         return out
     if quantity == "green_imagfreq":
         geom = CavityGeometry(r=params["Kr"], d=params["Kd"])
-        g = green_imaginary_freq(geom, 1.0, spec)
+        g = green_imaginary_freq(geom, 1.0)
         return {"g_pm": g.g_pm, "g_pp": g.g_pp, "g_00": g.g_00}
     if quantity == "v_off":
         geom = CavityGeometry(r=params["Kr"], d=params["Kd"])
@@ -150,9 +151,9 @@ def _eval_point(quantity, params, tols, config=None, field=None,
         k_ref = _reference_wavenumber(cfg)
         r = params.get("Kr", cfg.geometry.r * k_ref) / k_ref
         d = params.get("Kd", cfg.geometry.d * k_ref) / k_ref
-        cfg = _with_geometry(cfg, CavityGeometry(r=r, d=d))
+        cfg = dataclasses.replace(cfg, geometry=CavityGeometry(r=r, d=d))
     elif "r_over_d" in params:
-        cfg = _with_geometry(cfg, CavityGeometry(
+        cfg = dataclasses.replace(cfg, geometry=CavityGeometry(
             r=params["r_over_d"] * cfg.geometry.d, d=cfg.geometry.d))
     if quantity == "w_off":
         res = w_off_full(cfg, spec)
@@ -190,11 +191,6 @@ def _reference_wavenumber(cfg):
     return 1.0 / cfg.geometry.r
 
 
-def _with_geometry(cfg, geometry):
-    from dataclasses import replace
-    return replace(cfg, geometry=geometry)
-
-
 def _load_atoms(path):
     """The configuration and static field of an atoms document, read once."""
     with open(path, encoding="utf-8") as fh:
@@ -205,33 +201,47 @@ def _load_atoms(path):
     return load_two_atom_config(doc), _parse_field(doc.get("field"))
 
 
+def _json_object(value, what):
+    """``value`` if it is a JSON object, else ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return value
+
+
 def _parse_field(obj) -> StaticField | None:
     if obj is None:
         return None
-    if "cartesian" in obj:
-        ex, ey, ez = obj["cartesian"]
-        return StaticField.from_cartesian(float(ex), float(ey), float(ez))
-    if "spherical" in obj:
-        sph = obj["spherical"]
+    _json_object(obj, "field section")
+    try:
+        if "cartesian" in obj:
+            ex, ey, ez = obj["cartesian"]
+            return StaticField.from_cartesian(float(ex), float(ey), float(ez))
+        if "spherical" in obj:
+            sph = obj["spherical"]
 
-        def cplx(v):
-            return complex(v[0], v[1]) if isinstance(v, (list, tuple)) \
-                else complex(v)
+            def cplx(v):
+                return complex(v[0], v[1]) if isinstance(v, (list, tuple)) \
+                    else complex(v)
 
-        return StaticField((cplx(sph.get("e0", 0.0)),
-                            cplx(sph.get("eplus", 0.0)),
-                            cplx(sph.get("eminus", 0.0))))
+            return StaticField((cplx(sph.get("e0", 0.0)),
+                                cplx(sph.get("eplus", 0.0)),
+                                cplx(sph.get("eminus", 0.0))))
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed field section: {exc}") from None
     raise ConfigError("field section needs 'cartesian' or 'spherical'")
 
 
 def _tolerances(args, overrides=None):
-    overrides = overrides or {}
+    overrides = _json_object({} if overrides is None else overrides,
+                             "'tolerances'")
     rel = overrides.get("rel_tol", args.rel_tol)
     abs_tol = overrides.get("abs_tol", 1e-12)
     guard = overrides.get("guard_band", args.guard_band)
     try:
         m_max = int(overrides.get("m_max", args.m_max))
         quad = QuadSpec(rel_tol=rel, abs_tol=abs_tol)
+        if guard is not None and not guard >= 0:
+            raise ValueError(f"guard_band {guard!r} must be >= 0")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad tolerances: {exc}") from None
     return {
@@ -330,18 +340,18 @@ def cmd_sweep(args) -> int:
                 raise ConfigError(f"malformed sweep JSON: {exc}") from None
     else:
         raise ConfigError("sweep needs --preset or --config")
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep document must be a JSON object")
+    _json_object(sweep, "sweep document")
     quantity = sweep.get("quantity")
     if quantity not in QUANTITIES:
         raise ConfigError(f"unknown quantity {quantity!r}")
-    grid = sweep.get("grid")
-    if not isinstance(grid, dict):
-        raise ConfigError("sweep needs a 'grid' object")
+    grid = _json_object(sweep.get("grid"), "'grid'")
     variable = grid.get("variable")
     if variable not in ("Kr", "Kd", "r_over_d"):
         raise ConfigError(f"unknown sweep variable {variable!r}")
-    fixed = dict(sweep.get("fixed", {}))
+    fixed = _json_object(sweep.get("fixed", {}), "'fixed'")
+    if not all(type(v) in (int, float) for v in fixed.values()):
+        raise ConfigError("the values of 'fixed' must be numbers")
+    output = _json_object(sweep.get("output", {}), "'output'")
     if variable in fixed:
         raise ConfigError(f"swept variable {variable!r} also in 'fixed'")
     include_free = bool(sweep.get("include_free", args.include_free))
@@ -388,8 +398,8 @@ def cmd_sweep(args) -> int:
                  f"spacing={grid.get('spacing', 'linear')}")
     meta = _metadata_lines(quantity, grid_desc, fixed, tols)
 
-    out_path = args.out or sweep.get("output", {}).get("path")
-    fmt = args.format or sweep.get("output", {}).get("format", "csv")
+    out_path = args.out or output.get("path")
+    fmt = args.format or output.get("format", "csv")
     lines = []
     if fmt == "csv":
         lines.extend(meta)
@@ -485,7 +495,6 @@ def _build_parser():
     pe.add_argument("--include-free", action="store_true",
                     help="add free-space reference values")
     pe.add_argument("--format", choices=("text", "json"), default="text")
-    pe.set_defaults(func=cmd_eval)
 
     ps = sub.add_parser("sweep", parents=[common],
                         help="grid sweep to CSV/JSON")
@@ -496,23 +505,21 @@ def _build_parser():
     ps.add_argument("--format", choices=("csv", "json"))
     ps.add_argument("--include-free", action="store_true")
     ps.add_argument("--threads", type=int, default=1)
-    ps.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="run the cross-validation suite")
     pv.add_argument("--level", choices=("quick", "full"), default="quick")
     pv.add_argument("--json", help="write machine-readable verdict here")
-    pv.set_defaults(func=cmd_verify)
 
     pp = sub.add_parser("presets", help="list sweep presets")
-    pp.set_defaults(func=cmd_presets)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up per call: the parser is cached, a cmd_* may be rebound
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except CavdipError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

@@ -13,12 +13,11 @@ and cross-validated:
   (:func:`green_modesum`); at k = i*u (k^2 = -u^2) every mode is closed
   (:func:`green_imaginary_freq`); k^2 = 0 is the electrostatic tensor of
   :mod:`cavdip.static`; and the kernel also returns the d/d(k^2) of its
-  sums (:func:`d_dk_k2_re_green`).  Their cost grows like d/r, so below
-  r/d = IMAGFREQ_SUM_MIN_R_OVER_D the imaginary-frequency tensor is the
-  free-space term plus one adaptive zeta-integral per u instead, which
-  costs about the same at any r/d.  Both are checked against a
-  brute-force quadrature of the defining integrals
-  (:func:`greens_q_integral_oracle`),
+  sums (:func:`d_dk_k2_re_green`).  Their cost grows like d/r,
+* image sums at k = i*u (:func:`_image_sums`), used below r/d =
+  IMAGFREQ_SUM_MIN_R_OVER_D at a cost that does not depend on r/d; both
+  imaginary-frequency routes are checked against a brute-force quadrature
+  of the defining integrals (:func:`greens_q_integral_oracle`),
 * a reflection (image) series in the number m of bounces off the plates,
   with oscillatory q-integrals per order (:func:`green_reflection_series`).
 
@@ -43,6 +42,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 
 from .bessel import bessel_j, bessel_k, bessel_y
 from .errors import (ConvergenceError, DerivativeMismatchError, DomainError,
@@ -65,7 +65,6 @@ __all__ = [
     "re_green_modesum",
     "green_modesum",
     "green_reflection_series",
-    "green_reflection_series_imag",
     "green_imaginary_freq",
     "greens_q_integral_oracle",
     "kramers_kronig_re",
@@ -81,25 +80,28 @@ PI = math.pi
 DEFAULT_GUARD_FRACTION = 1e-6
 
 #: r/d from which green_imaginary_freq uses the closed Bessel-K sums; below
-#: it, the zeta-integral.  The sums cost about 14 d/r terms per u, the
-#: zeta-integral one adaptive quadrature per u at any r/d.  Least CPU
-#: seconds of one evaluation, sums / zeta-integral, on an idle 2-CPU Intel
-#: Xeon: v_off at Kr = 0.2 and rel_tol 1e-6, w_off of an SI pair at
-#: r = 200 nm and rel_tol 1e-8.  Both potentials are faster on the sums
-#: from 3.5e-3 up; the two routes agree to <= 5e-16 there.
-#:
-#:     r/d      v_off           w_off
-#:     1e-2     0.150 / 0.674   0.103 / 0.402
-#:     5e-3     0.345 / 0.657   0.116 / 0.216
-#:     3.5e-3   0.452 / 0.585   0.173 / 0.198
-#:     3e-3     0.599 / 0.628   0.239 / 0.216
-#:     2e-3     0.830 / 0.622   0.295 / 0.216
-#:     1e-3     1.485 / 0.559   0.500 / 0.203
-IMAGFREQ_SUM_MIN_R_OVER_D = 3.5e-3
+#: it, the image sums, which cost the same at any r/d and are the faster
+#: route from 0.05 down (v_off at Kr = 0.2, CPU time sums / images on a
+#: 2-CPU Intel Xeon: 31 / 9 ms at 0.05, 76 / 8 ms at 0.02).  Their error
+#: grows like (r/d)^2, so accuracy sets the crossover: per component of G
+#: the routes agree to <= 1.3e-13 at 0.02, 1e-12 at 0.03 and 1.3e-11 at
+#: 0.05, for u d in [1e-6, 3e3].
+IMAGFREQ_SUM_MIN_R_OVER_D = 0.02
 #: largest entry x term block of the mode sums (bounds their memory)
 _SUM_BLOCK = 8192
 #: the mode sums stop at a relative remainder of about e^{-_SUM_EXP}
 _SUM_EXP = 40.0
+#: images summed explicitly by _image_sums; the rest are taken at r = 0
+_IMAGES = 16
+#: sign per bounce of the in-plane image components; the axial ones keep +1
+_INPLANE_SIGN = -1.0
+#: terms of the plain polylogarithm series, used for x = e^w <= e^{-1}
+_LI_SERIES = 60
+#: c_k of Wood's Li_s(e^w) = sum_k c_k w^k - w^{s-1} ln(-w)/(s-1)!, k < 42:
+#: zeta(s - k)/k!, except H_{s-1}/(s-1)! at k = s - 1
+_WOOD = {s: special.zeta(s - np.arange(42.0)) / special.factorial(
+    np.arange(42)) for s in (2, 3)}
+_WOOD[2][1], _WOOD[3][2] = 1.0, 0.75
 
 
 @dataclass(frozen=True)
@@ -521,37 +523,61 @@ def green_reflection_series(geom: CavityGeometry, k: float, m_max: int = 500,
 # imaginary frequency, k = i u
 # ---------------------------------------------------------------------------
 
-def _imagfreq_zeta(r, d, u, spec):
-    """(pm, pp, 00) at one u: free space plus the zeta-integral.
+def _polylog(s, w, sign=1.0):
+    """Li_s(sign e^w), s = 2 or 3, sign +-1, for a 1-D array of w < 0: the
+    plain series for w <= -1, above it D. C. Wood's expansion about w = 0
+    ("The computation of polylogarithms", Univ. of Kent report 15-92,
+    1992) with the coefficients _WOOD; Li_s(-x) = 2^{1-s} Li_s(x^2) -
+    Li_s(x)."""
+    if sign < 0:
+        return _polylog(s, 2 * w) / 2 ** (s - 1) - _polylog(s, w)
+    out = np.empty_like(w)
+    far = w <= -1.0
+    m = np.arange(1, _LI_SERIES + 1)
+    out[far] = (np.exp(np.outer(w[far], m)) / m**s).sum(1)
+    w = w[~far]
+    out[~far] = (np.polynomial.polynomial.polyval(w, _WOOD[s])
+                 - w ** (s - 1) / math.factorial(s - 1) * np.log(-w))
+    return out
 
-    The exponential factors are evaluated in the overflow-safe rational
-    forms 1/(e^{u zeta d} + 1) and 1/(e^{u zeta d} - 1).
+
+def _image_sums(r, d, u):
+    """Cavity part C = G - G_free at k = i u as (pm, pp, 00) rows, one
+    column per entry of the 1-D array u: a sum over images.
+
+    The images at heights +-m d (R = sqrt(r^2 + m^2 d^2)) are the free
+    tensor turned onto their direction, xx = g_perp + (g_par - g_perp)
+    r^2/R^2, yy = g_perp, zz = g_perp + (g_par - g_perp) (m d)^2/R^2, with
+    the in-plane components signed _INPLANE_SIGN^m = (-1)^m, the axial +1.
+    Images m <= _IMAGES enter less their value at r = 0, and all images
+    at r = 0 in closed form, with x = e^{-u d}:
+
+        C0_pm = -[Li3(-x)/d^3 + u Li2(-x)/d^2 + u^2 Li1(-x)/d] / (2 pi u^2)
+        C0_pp = 0,  C0_00 = [2 Li3(x)/d^3 + 2 u Li2(x)/d^2] / (2 pi u^2)
+
+    The images beyond _IMAGES, taken at r = 0, err by about
+    (r/d)^2/_IMAGES^4 of C at small u d.
     """
-    fs = to_spherical(free_space_green_imag(r, u)).as_array()
+    md = d * np.arange(1, _IMAGES + 1)
+    big_r = np.hypot(r, md)
+    at_r, at_0 = (free_space_green_imag(R, u[:, None]) for R in (big_r, md))
+    turn = (at_r.g_par - at_r.g_perp) * (r / big_r) ** 2
+    sign = _INPLANE_SIGN ** np.arange(1, _IMAGES + 1)
+    xx_yy = 2 * (at_r.g_perp - at_0.g_perp) + turn
+    zz = at_r.g_par - at_0.g_par - turn
+    explicit = np.array([(sign * xx_yy).sum(1), (sign * turn).sum(1),
+                         2 * zz.sum(1)])
 
-    def f(zeta):
-        x = u * r * np.sqrt(np.clip(zeta * zeta - 1.0, 0.0, None))
-        j0 = bessel_j(0, x)
-        j2 = bessel_j(2, x)
-        arg = u * d * zeta
-        e = np.exp(-arg)
-        w_plus = e / (1.0 + e)                      # 1/(e^{u zeta d}+1)
-        w_minus = np.zeros_like(arg)                # 1/(e^{u zeta d}-1)
-        ok = arg < 700
-        w_minus[ok] = 1.0 / np.expm1(arg[ok])
-        f_pm = (u / (4 * PI)) * (1 + zeta * zeta) * j0 * w_plus
-        f_pp = (u / (4 * PI)) * (1 - zeta * zeta) * j2 * w_plus
-        f_00 = (u / (2 * PI)) * (zeta * zeta - 1) * j0 * w_minus
-        return np.stack([f_pm, f_pp, f_00], axis=-1)
-
-    scat, _ = integrate_semi_infinite_damped(
-        f, 1.0, u * d, spec, oscillation_wavelength=2 * PI / (u * r),
-        power_growth=2)
-    return fs + scat
+    w, sgn = -u * d, _INPLANE_SIGN
+    li1 = -np.log1p(-sgn * np.exp(w))
+    c0_pm = -(_polylog(3, w, sgn) / d**3 + u * _polylog(2, w, sgn) / d**2
+              + u * u * li1 / d)
+    c0_00 = 2 * (_polylog(3, w) / d**3 + u * _polylog(2, w) / d**2)
+    closed = np.array([c0_pm, np.zeros_like(u), c0_00]) / (2 * PI * u * u)
+    return explicit + closed
 
 
-def green_imaginary_freq(geom: CavityGeometry, u,
-                         spec: QuadSpec = QuadSpec()) -> SphericalGreen:
+def green_imaginary_freq(geom: CavityGeometry, u) -> SphericalGreen:
     """Spherical components at imaginary frequency k = i*u (all real).
 
     ``u`` is a scalar or a 1-D array; an array gives array-valued
@@ -561,11 +587,9 @@ def green_imaginary_freq(geom: CavityGeometry, u,
     :func:`_mode_sums` at k^2 = -u^2 are used, every mode being closed at
     imaginary frequency, so they are real Bessel-K0/K1 sums.  In these
     spherical forms the parallel and perpendicular parts do not cancel,
-    so d << r is exact where free space and the scattering integral
-    would cancel down to the quadrature tolerance.  The sums
-    need about 14 d/r terms per u, so below the crossover the free-space
-    term plus the scattering integral over zeta in [1, inf) is used
-    instead, at one adaptive quadrature per u with tolerances ``spec``.
+    so d << r is exact.  The sums need about 14 d/r terms per u, so below
+    the crossover the tensor is free space plus the image sum of
+    :func:`_image_sums`, whose cost does not depend on r/d.
     """
     u_arr = np.asarray(u, dtype=float)
     if u_arr.ndim > 1:
@@ -577,27 +601,16 @@ def green_imaginary_freq(geom: CavityGeometry, u,
         k2 = -flat * flat
         vals = _mode_sums(r, d, k2) / k2
     else:
-        vals = np.array([_imagfreq_zeta(r, d, float(ui), spec)
-                         for ui in flat]).reshape(-1, 3).T
+        vals = _image_sums(r, d, flat) \
+            + to_spherical(free_space_green_imag(r, flat)).as_array()
     if u_arr.ndim == 0:
         return SphericalGreen(*(float(v[0]) for v in vals))
     return SphericalGreen(*vals)
 
 
-def greens_q_integral_oracle(geom: CavityGeometry, u: float,
-                             spec: QuadSpec = QuadSpec()) -> CartesianGreen:
-    """Brute-force radial-q quadrature of the defining tensor integrals.
-
-    Valid on the imaginary-frequency branch only, where the angular
-    reduction leaves smooth Bessel-J kernels times
-    tanh/coth(lambda d / 2)/lambda with lambda = sqrt(u^2 + q^2).  The
-    free-space part (the tanh/coth -> 1 limit) is taken in closed form;
-    the remainder decays like e^{-lambda d} and is integrated directly.
-    Used exclusively as an oracle for :func:`green_imaginary_freq`.
-    """
-    _require_positive(u, "u")
-    r, d = geom.r, geom.d
-    fs = free_space_green_imag(r, u).as_array()
+def _q_integral_scattering(r, d, u, spec):
+    """Cartesian (par, perp, 00) of the oracle's scattering integral: the
+    defining q-integrals less their free-space (tanh/coth -> 1) limit."""
 
     def f(q):
         lam = np.sqrt(u * u + q * q)
@@ -616,57 +629,24 @@ def greens_q_integral_oracle(geom: CavityGeometry, u: float,
 
     scat, _ = integrate_semi_infinite_damped(
         f, 0.0, d, spec, oscillation_wavelength=2 * PI / r, power_growth=3)
-    return CartesianGreen(*(fs + scat))
+    return scat
 
 
-def green_reflection_series_imag(geom: CavityGeometry, u: float,
-                                 m_max: int = 500,
-                                 spec: QuadSpec = QuadSpec(),
-                                 ) -> ReflectionSeriesResult:
-    """Reflection series continued to k = i*u (all integrals damped).
+def greens_q_integral_oracle(geom: CavityGeometry, u: float,
+                             spec: QuadSpec = QuadSpec()) -> CartesianGreen:
+    """Brute-force radial-q quadrature of the defining tensor integrals.
 
-    The m-th image contributes the same kernels as the defining-integral
-    oracle with the exchange factor replaced by +-2 e^{-lambda m d}; the
-    in-plane components alternate as (-1)^m, the axial one does not.
+    Valid on the imaginary-frequency branch only, where the angular
+    reduction leaves smooth Bessel-J kernels times
+    tanh/coth(lambda d / 2)/lambda with lambda = sqrt(u^2 + q^2).  The
+    free-space part (the tanh/coth -> 1 limit) is taken in closed form;
+    the remainder decays like e^{-lambda d} and is integrated directly.
+    Used exclusively as an oracle for :func:`green_imaginary_freq`.
     """
     _require_positive(u, "u")
-    r, d = geom.r, geom.d
-    total = free_space_green_imag(r, u).as_array().astype(float)
-
-    def order_term(m):
-        def f(q):
-            lam = np.sqrt(u * u + q * q)
-            e = 2.0 * np.exp(-lam * m * d)
-            j0 = bessel_j(0, q * r)
-            j2 = bessel_j(2, q * r)
-            c = q / (8 * PI * u * u * lam)
-            g_par = -c * (q * q * (j0 - j2) + 2 * u * u * j0)
-            g_perp = -c * (q * q * (j0 + j2) + 2 * u * u * j0)
-            g_00 = 2 * c * q * q * j0
-            return e[:, None] * np.stack([g_par, g_perp, g_00], axis=-1)
-
-        val, _ = integrate_semi_infinite_damped(
-            f, 0.0, m * d, spec, oscillation_wavelength=2 * PI / r,
-            power_growth=3)
-        return val
-
-    small = 0
-    for m in range(1, m_max + 1):
-        t = order_term(m)
-        # in-plane images alternate (tanh expansion); axial ones do not
-        sign = np.array([(-1.0) ** m, (-1.0) ** m, 1.0])
-        t = sign * t
-        total = total + t
-        rel = float(np.max(np.abs(t)) / max(np.max(np.abs(total)), 1e-300))
-        if rel < spec.rel_tol:
-            small += 1
-            if small >= 2:
-                return ReflectionSeriesResult(
-                    CartesianGreen(*total), float(np.max(np.abs(t))), m)
-        else:
-            small = 0
-    raise ConvergenceError(
-        f"imaginary-frequency reflection series not settled by m={m_max}")
+    fs = free_space_green_imag(geom.r, u).as_array()
+    return CartesianGreen(*(fs + _q_integral_scattering(geom.r, geom.d, u,
+                                                        spec)))
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,7 @@ def contract(x, green: SphericalGreen | np.ndarray, y):
             + g_pm * (x[1] * y[2] + x[2] * y[1]))
 
 
-def _integrate_scaled(f, damping_scale, spec, probes,
-                      oscillation_wavelength=None):
+def _integrate_scaled(f, damping_scale, spec, probes):
     """Semi-infinite integral with the tolerance floor set by probing.
 
     Potentials in SI units involve dipole^4 factors of order 1e-117; the
@@ -126,8 +125,7 @@ def _integrate_scaled(f, damping_scale, spec, probes,
         zero = np.zeros(sample.shape[1]) if sample.ndim == 2 else 0.0
         return zero, 0.0
     val, err = integrate_semi_infinite_damped(
-        lambda x: np.asarray(f(x)) / scale, 0.0, damping_scale, spec,
-        oscillation_wavelength=oscillation_wavelength)
+        lambda x: np.asarray(f(x)) / scale, 0.0, damping_scale, spec)
     return np.asarray(val) * scale, err * scale
 
 

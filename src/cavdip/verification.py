@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import green
 from .atoms import AtomSpec, PhysicalConstants, TwoAtomConfig
 from .bessel import bessel_j
 from .errors import CavdipError
-from .green import (CavityGeometry, d_dk_k2_re_green, free_space_green,
-                    green_imaginary_freq, green_modesum,
+from .green import (CartesianGreen, CavityGeometry, d_dk_k2_re_green,
+                    free_space_green, green_imaginary_freq, green_modesum,
                     green_reflection_series, greens_q_integral_oracle,
                     im_green_modesum, kramers_kronig_re, re_green_modesum,
                     to_spherical)
@@ -119,7 +120,10 @@ def check_subthreshold():
 
 
 def check_imagfreq_oracle():
-    """Criterion 4: imaginary-frequency forms vs defining-integral oracle."""
+    """Criterion 4: imaginary-frequency forms vs defining-integral oracle;
+    for r << d the images' C against the oracle's scattering integral,
+    within their bound (r/d)^2/M^4 + 1e-13 relative to the largest
+    component (measured: 0.31 of it at u d = 0.1, 5e-15 at u d = 10)."""
     t0 = time.monotonic()
     worst = 0.0
     for ur in (0.5, 2.0):
@@ -129,9 +133,19 @@ def check_imagfreq_oracle():
             orc = to_spherical(greens_q_integral_oracle(geom, 1.0)).as_array()
             rel = np.abs(gi - orc) / np.maximum(np.abs(gi), 1e-12)
             worst = max(worst, float(rel.max()))
-    elapsed = time.monotonic() - t0
-    return CheckResult("imaginary-frequency-oracle", worst <= 1e-7,
-                       f"worst rel diff {worst:.2e} (tol 1e-7)", elapsed)
+    excess = 0.0
+    spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-15)
+    for rod in (1e-2, 1e-3, 1e-5):
+        for ud in (0.1, 10.0):
+            c = green._image_sums(rod * ud, ud, np.ones(1))
+            orc = to_spherical(CartesianGreen(*green._q_integral_scattering(
+                rod * ud, ud, 1.0, spec))).as_array()
+            rel = np.max(np.abs(c[:, 0] - orc)) / np.max(np.abs(orc))
+            excess = max(excess, rel / (rod**2 / green._IMAGES**4 + 1e-13))
+    return CheckResult("imaginary-frequency-oracle",
+                       worst <= 1e-7 and excess <= 1.0,
+                       f"worst rel diff {worst:.2e} (tol 1e-7), images at "
+                       f"{excess:.2f} of their bound", time.monotonic() - t0)
 
 
 def check_free_space_reductions():

@@ -6,7 +6,8 @@ import math
 import pytest
 
 from cavdip.cli import main
-from cavdip.verification import check_representation_equivalence
+from cavdip.verification import (check_imagfreq_oracle,
+                                 check_representation_equivalence)
 
 
 def test_eval_green_modesum_prints_components(capsys):
@@ -72,6 +73,21 @@ def test_eval_w_off_far_outside_a_thin_cavity(atoms_json, tmp_path, capsys):
     assert code == 0
     w_a = json.loads(capsys.readouterr().out)["values"]["w_a_J"]
     assert math.isfinite(w_a) and w_a < 0
+
+
+@pytest.mark.parametrize("field", [{"cartesian": [1.0, 2.0]},
+                                   {"cartesian": ["a", 0.0, 0.0]},
+                                   {"spherical": [1.0]}, [1.0]])
+def test_malformed_field_exit_code(field, atoms_json, capsys):
+    """A malformed field section exits 2 with a message, not with a
+    traceback, for every quantity that loads the document."""
+    doc = json.loads(atoms_json.read_text())
+    doc["field"] = field
+    atoms_json.write_text(json.dumps(doc))
+    for quantity in ("w_static", "w_off"):
+        assert main(["eval", "--quantity", quantity, "--config",
+                     str(atoms_json)]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_eval_degenerate_exit_code(tmp_path, capsys):
@@ -178,6 +194,13 @@ def test_sweep_validates_grid(tmp_path, capsys):
     for overrides in malformed:
         path = _sweep_doc(tmp_path, **overrides)
         assert main(["sweep", "--config", str(path)]) == 2, overrides
+    kr_grid = dict(full, variable="Kr")
+    malformed = [{"fixed": [1]}, {"grid": kr_grid, "fixed": {"Kd": "a"}},
+                 {"tolerances": "x"}, {"tolerances": {"guard_band": "x"}},
+                 {"output": "x.csv"}]
+    for overrides in malformed:
+        path = _sweep_doc(tmp_path, **overrides)
+        assert main(["sweep", "--config", str(path)]) == 2, overrides
     for doc in ([1, 2], {"quantity": "green_modesum", "fixed": {"Kr": 1}}):
         path.write_text(json.dumps(doc))
         assert main(["sweep", "--config", str(path)]) == 2, doc
@@ -210,6 +233,17 @@ def test_sweep_w_off_scales_geometry(tmp_path, atoms_json):
     w = [float(r[1]) for r in data]
     assert all(v < 0 for v in w)       # ground pair attracts everywhere
     assert len(set(w)) == 3            # geometry really varies
+
+
+def test_main_dispatches_by_name_at_call_time(tmp_path, monkeypatch, capsys):
+    """A cmd_* function rebound after the parser was built (as a tracer
+    wraps it) is the one that runs."""
+    import cavdip.cli as cli
+    assert main(["presets"]) == 0                     # parser now cached
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args) or 0)
+    assert main(["sweep", "--preset", "fig7"]) == 0
+    assert len(seen) == 1 and seen[0].preset == "fig7"
 
 
 def test_presets_listing(capsys):
@@ -271,3 +305,12 @@ def test_verification_catches_sign_mutation():
     res = check_representation_equivalence(reduced=True,
                                            sign_convention="printed")
     assert not res.passed
+
+
+def test_verification_catches_image_sign_mutation(monkeypatch):
+    """Flipping the in-plane image sign must break the image-route half
+    of the imaginary-frequency oracle check (mutation smoke test)."""
+    import cavdip.green as green
+    assert check_imagfreq_oracle().passed
+    monkeypatch.setattr(green, "_INPLANE_SIGN", 1.0)
+    assert not check_imagfreq_oracle().passed

@@ -14,7 +14,6 @@ from cavdip.green import (CartesianGreen, CavityGeometry,
                           d_dk_k2_re_green, free_space_green,
                           free_space_green_imag, green_imaginary_freq,
                           green_modesum, green_reflection_series,
-                          green_reflection_series_imag,
                           greens_q_integral_oracle, im_green_modesum,
                           kramers_kronig_re, re_green_modesum,
                           threshold_distance, to_cartesian, to_spherical)
@@ -234,11 +233,19 @@ def test_imagfreq_matches_defining_integral_oracle():
         assert np.max(np.abs(gi - orc) / np.abs(gi)) < 1e-7
 
 
+def _free_spherical(r, u):
+    return to_spherical(free_space_green_imag(r, u)).as_array()
+
+
 def test_imagfreq_matches_reflection_series_continuation():
-    geom = CavityGeometry(r=0.5, d=2.0)
-    gi = green_imaginary_freq(geom, 1.0).as_array()
-    ri = to_spherical(green_reflection_series_imag(geom, 1.0).green).as_array()
-    assert np.max(np.abs(gi - ri) / np.abs(gi)) < 1e-6
+    """The image sum (the reflection series continued to k = i u) plus
+    free space equals the mode sums at (0.5, 2), far above the r/d where
+    it is used."""
+    r, d = 0.5, 2.0
+    u = np.geomspace(1e-3, 30.0, 12)
+    images = green._image_sums(r, d, u) + _free_spherical(r, u)
+    modes = green._mode_sums(r, d, -u * u) / (-u * u)
+    assert np.max(np.abs(images - modes) / np.abs(modes)) < 1e-6
 
 
 def test_imagfreq_exponential_suppression():
@@ -292,15 +299,49 @@ def test_imagfreq_array_call_matches_scalar_calls(r, d):
         assert np.max(np.abs(arr[:, i] - one)) <= 1e-14 * np.max(np.abs(one))
 
 
-@pytest.mark.parametrize("u", [0.01, 1.0, 30.0])
+@pytest.mark.parametrize("u", [1e-4, 1e-2, 1.0, 30.0, 100.0])
 def test_imagfreq_routes_agree_at_crossover(u, monkeypatch):
-    """At the r/d where the closed sums take over, the zeta-integral gives
+    """At the r/d where the closed sums take over, the image sums give
     the same tensor, so the switch leaves no step."""
     geom = CavityGeometry(r=0.2, d=0.2 / green.IMAGFREQ_SUM_MIN_R_OVER_D)
     sums = green_imaginary_freq(geom, u).as_array()
     monkeypatch.setattr(green, "IMAGFREQ_SUM_MIN_R_OVER_D", math.inf)
-    zeta = green_imaginary_freq(geom, u).as_array()
-    assert np.max(np.abs(sums - zeta) / np.abs(zeta)) <= 1e-9
+    images = green_imaginary_freq(geom, u).as_array()
+    assert np.max(np.abs(sums - images) / np.abs(sums)) <= 1e-12
+
+
+def test_image_sums_approach_closed_r0_sum():
+    """The explicit images move C off its r = 0 value C0 by O((r/d)^2):
+    (C - C0)/C0 falls 100x for each 10x cut in r/d."""
+    d, u = 1.0, np.array([0.5, 3.0])
+    c0 = green._image_sums(1e-30, d, u)[[0, 2]]
+    devs = [np.abs(green._image_sums(rho * d, d, u)[[0, 2]] / c0 - 1)
+            for rho in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
+    for coarse, fine in zip(devs, devs[1:]):
+        assert np.all((90 < coarse / fine) & (coarse / fine < 110))
+
+
+@pytest.mark.parametrize("ud", [40.0, 200.0])
+def test_image_sums_deep_in_the_exponential_tail(ud):
+    """At u d >> 1 every image term is ~e^{-m u d}: C against the image
+    sum in 30-digit arithmetic (a Li2 taken as spence(1 -+ x) rounds
+    1 -+ x to 1 there and loses the u Li2 terms)."""
+    mp = pytest.importorskip("mpmath")
+    r, d = 0.01, 1.0
+    u = ud / d
+    want = np.zeros(3)
+    with mp.workdps(30):
+        for m in range(1, 8):
+            big_r = mp.sqrt(r * r + (m * d) ** 2)
+            e = mp.exp(-u * big_r) / (4 * mp.pi * u * u)
+            g_par = e * (2 / big_r**3 + 2 * u / big_r**2)
+            g_perp = -e * (1 / big_r**3 + u / big_r**2 + u * u / big_r)
+            turn = (g_par - g_perp) * r * r / big_r**2
+            sign = (-1) ** m
+            want += [float(sign * (2 * g_perp + turn)), float(sign * turn),
+                     float(2 * (g_par - turn))]
+    got = green._image_sums(r, d, np.array([u]))[:, 0]
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

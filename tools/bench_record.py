@@ -14,7 +14,8 @@ in) and writes one record:
   that ``cavdip presets`` lists, and of ``cavdip verify --level full``;
 * the least wall time of five runs of ``cavdip eval --quantity Q`` for
   ``w_off``, ``w_res`` and ``w_static`` on fixed documents of the
-  benchmark catalogue (``EVALS``);
+  benchmark catalogue (``EVALS``), and for ``v_off`` at r/d = 1e-3 and
+  1e-5 (``EVAL_ARGS``);
 * the state of the machine: ``nproc``, the load average before and after,
   and the least time of a short CPU calibration loop, so that two
   records are compared through their calibrations, not as raw seconds.
@@ -49,6 +50,10 @@ CALIBRATION_REPEATS = 5
 #: is ``perfbench/workloads.make_doc(kind, 0)``
 EVALS = (("w_off", "ground"), ("w_res", "dis"), ("w_res", "ident"),
          ("w_static", "static"))
+#: arguments of each timed ``cavdip eval`` without a document: v_off at
+#: r << d, where the imaginary-frequency tensor comes from the image sums
+EVAL_ARGS = (("--quantity", "v_off", "--kr", "0.2", "--kd", "200"),
+             ("--quantity", "v_off", "--kr", "0.2", "--kd", "20000"))
 #: runs of each timed ``cavdip eval``; the least wall time is kept
 EVAL_REPEATS = 5
 
@@ -99,18 +104,25 @@ def git_state(tree) -> dict:
 
 
 def timed_evals(tree, env, cavdip, tmp) -> dict:
-    """The fastest of ``EVAL_REPEATS`` runs of each ``EVALS`` entry."""
+    """The fastest of ``EVAL_REPEATS`` runs of each ``EVALS`` and
+    ``EVAL_ARGS`` entry."""
     sys.path.insert(0, os.path.join(tree, "perfbench"))
     import workloads
-    out = {}
+    cases = {}
     for quantity, kind in EVALS:
         doc = os.path.join(tmp, f"{kind}-0.json")
         with open(doc, "w", encoding="utf-8") as fh:
             json.dump(workloads.make_doc(kind, 0), fh)
-        runs = [timed([*cavdip, "eval", "--quantity", quantity, "--config",
-                       doc], tree, env) for _ in range(EVAL_REPEATS)]
+        cases[f"{quantity}:{kind}/0"] = ("--quantity", quantity, "--config",
+                                         doc)
+    for args in EVAL_ARGS:
+        cases[" ".join(args[1:])] = args
+    out = {}
+    for key, args in cases.items():
+        runs = [timed([*cavdip, "eval", *args], tree, env)
+                for _ in range(EVAL_REPEATS)]
         best = min(runs, key=lambda run: run["wall_s"])
-        out[f"{quantity}:{kind}/0"] = dict(best, runs=EVAL_REPEATS)
+        out[key] = dict(best, runs=EVAL_REPEATS)
     return out
 
 
