@@ -12,16 +12,14 @@ __version__ = "0.1.0"
 from .errors import (CavdipError, ConfigError, ConvergenceError,
                      DegenerateError, DerivativeMismatchError, DomainError,
                      ThresholdError)
-from .quadrature import (QuadSpec, SeriesSpec, integrate_finite,
-                         integrate_semi_infinite_damped)
+from .quadrature import QuadSpec, SeriesSpec
 from .bessel import bessel_j, bessel_k, bessel_y
 from .green import (CartesianGreen, CavityGeometry, SphericalGreen,
                     check_threshold, d_dk_k2_re_green, free_space_green,
                     free_space_green_imag, green_imaginary_freq,
                     green_modesum, green_reflection_series,
-                    greens_q_integral_oracle, im_green_modesum,
-                    kramers_kronig_re, re_green_modesum, to_cartesian,
-                    to_spherical)
+                    greens_q_integral_oracle, kramers_kronig_re,
+                    to_cartesian, to_spherical)
 from .atoms import (AtomSpec, PhysicalConstants, TwoAtomConfig,
                     check_perturbative_regime, load_two_atom_config,
                     static_polarisability, validate)

@@ -82,6 +82,7 @@ def _eval_point(quantity, params, tols, config=None, field=None,
     """One evaluation; returns an ordered dict of output columns."""
     spec = tols["quad"]
     guard = tols["guard_band"]
+    # the w_* quantities read Kr/Kd or r_over_d, not both, and need none
     needs = {"green_modesum": ("Kr", "Kd"), "green_series": ("Kr", "Kd"),
              "green_imagfreq": ("Kr", "Kd"), "v_off": ("Kr", "Kd"),
              "v_res": ("Kr", "Kd"), "v_static": ("r_over_d",)}
@@ -89,6 +90,12 @@ def _eval_point(quantity, params, tols, config=None, field=None,
         if p not in params:
             raise ConfigError(f"quantity {quantity!r} needs parameter "
                               f"{p} (flag --{p.lower().replace('_', '-')})")
+    reads = needs.get(quantity) or (
+        ("r_over_d",) if "r_over_d" in params else ("Kr", "Kd"))
+    unread = ", ".join(sorted(set(params) - set(reads)))
+    if unread:
+        raise ConfigError(f"quantity {quantity!r} does not read {unread} "
+                          f"(it reads {' and '.join(reads)})")
     if quantity in ("green_modesum", "green_series", "v_res"):
         geom = CavityGeometry(r=params["Kr"], d=params["Kd"])
         if quantity == "green_modesum":
@@ -281,11 +288,8 @@ def cmd_eval(args) -> int:
     config = field = None
     if args.config:
         config, field = _load_atoms(args.config)
-    params = {}
-    for name in ("Kr", "Kd", "r_over_d"):
-        v = getattr(args, name.lower().replace("/", "_"), None)
-        if v is not None:
-            params[name] = v
+    flags = {"Kr": args.kr, "Kd": args.kd, "r_over_d": args.r_over_d}
+    params = {name: v for name, v in flags.items() if v is not None}
     row = _eval_point(args.quantity, params, tols, config, field,
                       include_free=args.include_free)
     if args.format == "json":
@@ -354,7 +358,9 @@ def cmd_sweep(args) -> int:
     output = _json_object(sweep.get("output", {}), "'output'")
     if variable in fixed:
         raise ConfigError(f"swept variable {variable!r} also in 'fixed'")
-    include_free = bool(sweep.get("include_free", args.include_free))
+    include_free = sweep.get("include_free", args.include_free)
+    if not isinstance(include_free, bool):
+        raise ConfigError("'include_free' must be true or false")
     tols = _tolerances(args, sweep.get("tolerances"))
     config = field = None
     if quantity.startswith("w_"):

@@ -8,16 +8,18 @@ and cross-validated:
 
 * mode sums -- one kernel (:func:`_mode_sums`) evaluates k^2 G as
   Bessel-K sums over the cavity modes for a 1-D array of real k^2, with
-  a term count fixed in advance per entry.  At real k (k^2 > 0) the
-  finitely many open modes continue to Bessel-J/Y terms
-  (:func:`green_modesum`); at k = i*u (k^2 = -u^2) every mode is closed
-  (:func:`green_imaginary_freq`); k^2 = 0 is the electrostatic tensor of
-  :mod:`cavdip.static`; and the kernel also returns the d/d(k^2) of its
-  sums (:func:`d_dk_k2_re_green`).  Their cost grows like d/r,
-* image sums at k = i*u (:func:`_image_sums`), used below r/d =
-  IMAGFREQ_SUM_MIN_R_OVER_D at a cost that does not depend on r/d; both
-  imaginary-frequency routes are checked against a brute-force quadrature
-  of the defining integrals (:func:`greens_q_integral_oracle`),
+  a term count fixed in advance per entry; at real k (k^2 > 0) the open
+  modes continue to Bessel-J/Y terms (:func:`green_modesum`), and the
+  kernel also returns d/d(k^2) (:func:`d_dk_k2_re_green`).  Their cost
+  grows like d/r,
+* image sums (:func:`_image_sums`), their dual for k^2 = -u^2 <= 0, at a
+  cost that does not depend on r/d.  :func:`_closed_sums` picks the route
+  for every k^2 <= 0, imaginary frequency (:func:`green_imaginary_freq`)
+  and the static k^2 = 0 of :mod:`cavdip.static` alike: the mode sums
+  from r/d = IMAGFREQ_SUM_MIN_R_OVER_D up, free space plus the images
+  below.  At imaginary frequency both routes are checked against a
+  brute-force quadrature of the defining integrals
+  (:func:`greens_q_integral_oracle`),
 * a reflection (image) series in the number m of bounces off the plates,
   with oscillatory q-integrals per order (:func:`green_reflection_series`).
 
@@ -61,8 +63,6 @@ __all__ = [
     "check_threshold",
     "free_space_green",
     "free_space_green_imag",
-    "im_green_modesum",
-    "re_green_modesum",
     "green_modesum",
     "green_reflection_series",
     "green_imaginary_freq",
@@ -79,13 +79,16 @@ PI = math.pi
 #: guard band around mode thresholds, as a fraction of pi/d
 DEFAULT_GUARD_FRACTION = 1e-6
 
-#: r/d from which green_imaginary_freq uses the closed Bessel-K sums; below
-#: it, the image sums, which cost the same at any r/d and are the faster
-#: route from 0.05 down (v_off at Kr = 0.2, CPU time sums / images on a
-#: 2-CPU Intel Xeon: 31 / 9 ms at 0.05, 76 / 8 ms at 0.02).  Their error
-#: grows like (r/d)^2, so accuracy sets the crossover: per component of G
-#: the routes agree to <= 1.3e-13 at 0.02, 1e-12 at 0.03 and 1.3e-11 at
-#: 0.05, for u d in [1e-6, 3e3].
+#: r/d from which _closed_sums, and so every k^2 <= 0, uses the mode sums;
+#: below it, the image sums, which cost the same at any r/d.  Their error
+#: grows like (r/d)^2, so accuracy sets the crossover.  Per component of G
+#: the routes agree, for u d in [1e-6, 3e3], to <= 1.3e-13 at 0.02, 1e-12
+#: at 0.03 and 1.3e-11 at 0.05; at k^2 = 0 to 5.6e-16 at 0.005, 4.2e-15
+#: at 0.01 and 1.3e-13 (V00) at 0.02.  The images are the faster route
+#: below the crossover (CPU time on a 2-CPU Intel Xeon, modes / images):
+#: v_off at Kr = 0.2 takes 31 / 9 ms at 0.05 and 76 / 8 ms at 0.02; one
+#: k^2 = 0 entry 130 / 100-120 us at 0.02, 190 / 105-160 us at 0.01,
+#: 280-340 / 120-150 us at 0.005 and 1.2 ms / 115-145 us at 1e-3.
 IMAGFREQ_SUM_MIN_R_OVER_D = 0.02
 #: largest entry x term block of the mode sums (bounds their memory)
 _SUM_BLOCK = 8192
@@ -93,15 +96,18 @@ _SUM_BLOCK = 8192
 _SUM_EXP = 40.0
 #: images summed explicitly by _image_sums; the rest are taken at r = 0
 _IMAGES = 16
-#: sign per bounce of the in-plane image components; the axial ones keep +1
+#: sign per bounce of the explicit in-plane image components (the closed
+#: r = 0 sum takes it as Li_s(-x)); the axial ones keep +1
 _INPLANE_SIGN = -1.0
 #: terms of the plain polylogarithm series, used for x = e^w <= e^{-1}
 _LI_SERIES = 60
-#: c_k of Wood's Li_s(e^w) = sum_k c_k w^k - w^{s-1} ln(-w)/(s-1)!, k < 42:
-#: zeta(s - k)/k!, except H_{s-1}/(s-1)! at k = s - 1
-_WOOD = {s: special.zeta(s - np.arange(42.0)) / special.factorial(
-    np.arange(42)) for s in (2, 3)}
-_WOOD[2][1], _WOOD[3][2] = 1.0, 0.75
+#: 1/m^s of that series, columns s = 2, 3
+_LI_WEIGHTS = 1.0 / np.arange(1.0, _LI_SERIES + 1)[:, None] ** [2, 3]
+#: c_k of Wood's Li_s(e^w) = sum_k c_k w^k - w^{s-1} ln(-w)/(s-1)!, k < 42,
+#: columns s = 2, 3: zeta(s - k)/k!, except H_{s-1}/(s-1)! at k = s - 1
+_WOOD = special.zeta([2.0, 3.0] - np.arange(42.0)[:, None]) \
+    / special.factorial(np.arange(42))[:, None]
+_WOOD[1, 0], _WOOD[2, 1] = 1.0, 0.75
 
 
 @dataclass(frozen=True)
@@ -186,17 +192,24 @@ def _require_positive(value, name):
 # free space
 # ---------------------------------------------------------------------------
 
-def free_space_green(r: float, k: float) -> CartesianGreen:
-    """Free-space tensor components at real wavenumber k (complex values).
+def _free_k2(r, u):
+    """k^2 (G_par, G_perp) of free space at k = i*u, finite at u = 0 (real
+    k is u = -i k):
 
-    G_par  = e^{ikr}/(-4 pi k^2) [2/r^3 - 2ik/r^2]
-    G_perp = G_00 = e^{ikr}/(-4 pi k^2) [-1/r^3 + ik/r^2 + k^2/r]
+        k^2 G_par  = -e^{-u r} (2/r^3 + 2u/r^2) / (4 pi)
+        k^2 G_perp =  e^{-u r} (1/r^3 + u/r^2 + u^2/r) / (4 pi)
     """
+    e = np.exp(-u * r) / (4 * PI)
+    return (-e * (2 / r**3 + 2 * u / r**2),
+            e * (1 / r**3 + u / r**2 + u * u / r))
+
+
+def free_space_green(r: float, k: float) -> CartesianGreen:
+    """Free-space tensor components at real wavenumber k (complex values),
+    G_00 = G_perp."""
     _require_positive(r, "r")
     _require_positive(k, "k")
-    pref = np.exp(1j * k * r) / (-4 * PI * k * k)
-    g_par = pref * (2 / r**3 - 2j * k / r**2)
-    g_tr = pref * (-1 / r**3 + 1j * k / r**2 + k * k / r)
+    g_par, g_tr = (g / (k * k) for g in _free_k2(r, -1j * k))
     return CartesianGreen(g_par, g_tr, g_tr)
 
 
@@ -207,9 +220,7 @@ def free_space_green_imag(r: float, u) -> CartesianGreen:
     """
     _require_positive(r, "r")
     _require_positive(u, "u")
-    e = np.exp(-u * r) / (4 * PI * u * u)
-    g_par = e * (2 / r**3 + 2 * u / r**2)
-    g_tr = -e * (1 / r**3 + u / r**2 + u * u / r)
+    g_par, g_tr = (g / (-u * u) for g in _free_k2(r, u))
     return CartesianGreen(g_par, g_tr, g_tr)
 
 
@@ -355,22 +366,6 @@ def green_modesum(geom: CavityGeometry, k: float,
     sums = _mode_sums(geom.r, geom.d, np.array([k2]),
                       n_max=series_spec.n_max)[:, 0] / k2
     return to_cartesian(SphericalGreen(*sums.tolist()))
-
-
-def re_green_modesum(geom: CavityGeometry, k: float,
-                     series_spec: SeriesSpec = SeriesSpec(),
-                     guard_band: float | None = None) -> CartesianGreen:
-    """Real parts of :func:`green_modesum`."""
-    g = green_modesum(geom, k, series_spec, guard_band)
-    return CartesianGreen(g.g_par.real, g.g_perp.real, g.g_00.real)
-
-
-def im_green_modesum(geom: CavityGeometry, k: float,
-                     guard_band: float | None = None) -> CartesianGreen:
-    """Imaginary parts of :func:`green_modesum`: finite sums over the open
-    modes, so the in-plane ones vanish exactly below kd = pi."""
-    g = green_modesum(geom, k, guard_band=guard_band)
-    return CartesianGreen(g.g_par.imag, g.g_perp.imag, g.g_00.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -523,27 +518,27 @@ def green_reflection_series(geom: CavityGeometry, k: float, m_max: int = 500,
 # imaginary frequency, k = i u
 # ---------------------------------------------------------------------------
 
-def _polylog(s, w, sign=1.0):
-    """Li_s(sign e^w), s = 2 or 3, sign +-1, for a 1-D array of w < 0: the
-    plain series for w <= -1, above it D. C. Wood's expansion about w = 0
-    ("The computation of polylogarithms", Univ. of Kent report 15-92,
-    1992) with the coefficients _WOOD; Li_s(-x) = 2^{1-s} Li_s(x^2) -
-    Li_s(x)."""
-    if sign < 0:
-        return _polylog(s, 2 * w) / 2 ** (s - 1) - _polylog(s, w)
-    out = np.empty_like(w)
+def _li23(w):
+    """Li_2 and Li_3 of e^w as the rows of a (2, n) array, for a 1-D array
+    of w <= 0: the plain series for w <= -1, above it D. C. Wood's
+    expansion about w = 0 ("The computation of polylogarithms", Univ. of
+    Kent report 15-92, 1992) as one product of the powers of w with the
+    table _WOOD (a Horner loop would take 41 array steps); its log terms
+    vanish at w = 0, where Li_s(1) = zeta(s)."""
+    out = np.empty((2, w.size))
     far = w <= -1.0
-    m = np.arange(1, _LI_SERIES + 1)
-    out[far] = (np.exp(np.outer(w[far], m)) / m**s).sum(1)
-    w = w[~far]
-    out[~far] = (np.polynomial.polynomial.polyval(w, _WOOD[s])
-                 - w ** (s - 1) / math.factorial(s - 1) * np.log(-w))
+    out[:, far] = (np.exp(np.outer(w[far], np.arange(1, _LI_SERIES + 1)))
+                   @ _LI_WEIGHTS).T
+    near = w[~far]
+    out[:, ~far] = (np.vander(near, len(_WOOD), increasing=True) @ _WOOD).T \
+        - [special.xlogy(near, -near), special.xlogy(near * near, -near) / 2]
     return out
 
 
-def _image_sums(r, d, u):
-    """Cavity part C = G - G_free at k = i u as (pm, pp, 00) rows, one
-    column per entry of the 1-D array u: a sum over images.
+def _image_sums(r, d, k2):
+    """Cavity part k^2 C = k^2 (G - G_free) at k^2 = -u^2 <= 0 as (pm, pp,
+    00) rows, one column per entry of the 1-D array k2: a sum over images,
+    finite at u = 0.
 
     The images at heights +-m d (R = sqrt(r^2 + m^2 d^2)) are the free
     tensor turned onto their direction, xx = g_perp + (g_par - g_perp)
@@ -552,29 +547,44 @@ def _image_sums(r, d, u):
     Images m <= _IMAGES enter less their value at r = 0, and all images
     at r = 0 in closed form, with x = e^{-u d}:
 
-        C0_pm = -[Li3(-x)/d^3 + u Li2(-x)/d^2 + u^2 Li1(-x)/d] / (2 pi u^2)
-        C0_pp = 0,  C0_00 = [2 Li3(x)/d^3 + 2 u Li2(x)/d^2] / (2 pi u^2)
+        k^2 C0_pm = [Li3(-x)/d^3 + u Li2(-x)/d^2 + u^2 Li1(-x)/d] / (2 pi)
+        k^2 C0_pp = 0,  k^2 C0_00 = -[2 Li3(x)/d^3 + 2 u Li2(x)/d^2] / (2 pi)
 
-    The images beyond _IMAGES, taken at r = 0, err by about
-    (r/d)^2/_IMAGES^4 of C at small u d.
+    with Li_s(-x) = 2^{1-s} Li_s(x^2) - Li_s(x).  The images beyond
+    _IMAGES, taken at r = 0, err by about (r/d)^2/_IMAGES^4 of C at small
+    u d.
     """
+    u = np.sqrt(-k2)
     md = d * np.arange(1, _IMAGES + 1)
     big_r = np.hypot(r, md)
-    at_r, at_0 = (free_space_green_imag(R, u[:, None]) for R in (big_r, md))
-    turn = (at_r.g_par - at_r.g_perp) * (r / big_r) ** 2
+    (par, perp), (par0, perp0) = (_free_k2(R, u[:, None]) for R in (big_r, md))
+    turn = (par - perp) * (r / big_r) ** 2
     sign = _INPLANE_SIGN ** np.arange(1, _IMAGES + 1)
-    xx_yy = 2 * (at_r.g_perp - at_0.g_perp) + turn
-    zz = at_r.g_par - at_0.g_par - turn
-    explicit = np.array([(sign * xx_yy).sum(1), (sign * turn).sum(1),
-                         2 * zz.sum(1)])
+    explicit = np.array([(sign * (2 * (perp - perp0) + turn)).sum(1),
+                         (sign * turn).sum(1), 2 * (par - par0 - turn).sum(1)])
 
-    w, sgn = -u * d, _INPLANE_SIGN
-    li1 = -np.log1p(-sgn * np.exp(w))
-    c0_pm = -(_polylog(3, w, sgn) / d**3 + u * _polylog(2, w, sgn) / d**2
-              + u * u * li1 / d)
-    c0_00 = 2 * (_polylog(3, w) / d**3 + u * _polylog(2, w) / d**2)
-    closed = np.array([c0_pm, np.zeros_like(u), c0_00]) / (2 * PI * u * u)
-    return explicit + closed
+    w = -u * d
+    li2, li3 = _li23(np.concatenate([w, 2 * w]))
+    n = u.size
+    li2m, li3m = li2[n:] / 2 - li2[:n], li3[n:] / 4 - li3[:n]
+    c0_pm = li3m / d**3 + u * li2m / d**2 - u * u * np.log1p(np.exp(w)) / d
+    c0_00 = -2 * (li3[:n] / d**3 + u * li2[:n] / d**2)
+    return explicit + np.array([c0_pm, np.zeros_like(u), c0_00]) / (2 * PI)
+
+
+def _closed_sums(r, d, k2, n_max=None):
+    """k^2 G in spherical components (pm, pp, 00) for a 1-D array of
+    k^2 = -u^2 <= 0, and the modes or images used per entry.
+
+    From r/d = IMAGFREQ_SUM_MIN_R_OVER_D up these are the mode sums
+    (:func:`_mode_sums`, capped by ``n_max``) and their term count; below
+    it free space plus :func:`_image_sums`, with _IMAGES per entry.
+    """
+    if r / d >= IMAGFREQ_SUM_MIN_R_OVER_D:
+        return _mode_sums(r, d, k2, n_max=n_max), _term_count(r, d, k2)
+    par, perp = _free_k2(r, np.sqrt(-k2))
+    free = to_spherical(CartesianGreen(par, perp, perp)).as_array()
+    return free + _image_sums(r, d, k2), np.full(k2.size, _IMAGES)
 
 
 def green_imaginary_freq(geom: CavityGeometry, u) -> SphericalGreen:
@@ -583,26 +593,16 @@ def green_imaginary_freq(geom: CavityGeometry, u) -> SphericalGreen:
     ``u`` is a scalar or a 1-D array; an array gives array-valued
     components, one entry per u, from a single call.
 
-    For r/d >= IMAGFREQ_SUM_MIN_R_OVER_D the mode sums of
-    :func:`_mode_sums` at k^2 = -u^2 are used, every mode being closed at
-    imaginary frequency, so they are real Bessel-K0/K1 sums.  In these
-    spherical forms the parallel and perpendicular parts do not cancel,
-    so d << r is exact.  The sums need about 14 d/r terms per u, so below
-    the crossover the tensor is free space plus the image sum of
-    :func:`_image_sums`, whose cost does not depend on r/d.
+    The tensor is k^2 G of :func:`_closed_sums` at k^2 = -u^2, divided by
+    k^2.  Every mode is closed at imaginary frequency, so the mode sums are
+    real Bessel-K0/K1 sums, whose spherical forms make d << r exact.
     """
     u_arr = np.asarray(u, dtype=float)
     if u_arr.ndim > 1:
         raise DomainError("u must be a scalar or a 1-D array")
     _require_positive(u_arr, "u")
-    r, d = geom.r, geom.d
-    flat = np.atleast_1d(u_arr)
-    if r / d >= IMAGFREQ_SUM_MIN_R_OVER_D:
-        k2 = -flat * flat
-        vals = _mode_sums(r, d, k2) / k2
-    else:
-        vals = _image_sums(r, d, flat) \
-            + to_spherical(free_space_green_imag(r, flat)).as_array()
+    k2 = -np.atleast_1d(u_arr) ** 2
+    vals = _closed_sums(geom.r, geom.d, k2)[0] / k2
     if u_arr.ndim == 0:
         return SphericalGreen(*(float(v[0]) for v in vals))
     return SphericalGreen(*vals)
@@ -766,7 +766,7 @@ def kramers_kronig_re(geom: CavityGeometry, k: float,
     where every contribution reduces to the two Bessel moments of
     :func:`_pv_bessel_moment` evaluated by PV/oscillatory quadrature.  No
     Bessel-Y/K identities enter, so this is an independent oracle for
-    :func:`re_green_modesum`.
+    the real parts of :func:`green_modesum`.
     """
     _require_positive(k, "k")
     check_threshold(k, geom.d, guard_band)

@@ -10,8 +10,9 @@ modified-Bessel sums
 
 which converge to the free-space values d^3/(4 pi^2 r^3),
 -3 d^3/(8 pi^2 r^3) and -d^3/(8 pi^2 r^3) as r/d -> 0.  They are the
-cavity mode sums of :mod:`cavdip.green` at k^2 = 0, V = (d^3/pi) k^2 G,
-so they share that kernel and its fixed term count.  The potentials of
+cavity tensor of :mod:`cavdip.green` at k^2 = 0, V = (d^3/pi) k^2 G, so
+they share its route: the mode sums from r/d = IMAGFREQ_SUM_MIN_R_OVER_D
+up, free space plus the image sums below.  The potentials of
 both atoms coincide with the phase-shift rate (no factor 1/2 here: the
 calculation is first order in the coupling of each atom).
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .atoms import TwoAtomConfig, coupled_channels
 from .errors import ConfigError
-from .green import CavityGeometry, _mode_sums, _term_count
+from .green import CavityGeometry, _closed_sums
 from .quadrature import SeriesSpec
 from .vdw import ChannelContribution, EnergyResult
 
@@ -39,10 +40,6 @@ __all__ = [
 ]
 
 PI = math.pi
-
-#: below this r/d the Bessel sums need ~3000+ terms; the free-space forms
-#: are accurate to well under 0.1% there (they are the r/d -> 0 limit)
-FREE_SPACE_SWITCH = 0.005
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,6 @@ class StaticPotentialTensor:
     vpp: float
     vpm: float
     n_used: tuple[int, int, int]
-    note: str = ""
 
     def as_array(self):
         return np.array([self.v00, self.vpp, self.vpm])
@@ -94,33 +90,19 @@ def v_static_free(geom: CavityGeometry) -> StaticPotentialTensor:
     r, d = geom.r, geom.d
     pref = d**3 / (PI * PI * r**3)
     return StaticPotentialTensor(v00=pref / 4, vpp=-3 * pref / 8,
-                                 vpm=-pref / 8, n_used=(0, 0, 0),
-                                 note="free-space closed form")
+                                 vpm=-pref / 8, n_used=(0, 0, 0))
 
 
 def v_static_dimensionless(geom: CavityGeometry,
                            spec: SeriesSpec = SeriesSpec(),
                            ) -> StaticPotentialTensor:
-    """Dimensionless electrostatic tensor from the Bessel-K mode sums.
-
-    The sums are (d^3/pi) k^2 G of the cavity mode-sum kernel at k^2 = 0;
-    ``n_used`` is the kernel's term count (the largest mode index), the
-    same for all three components, and of ``spec`` only the ``n_max`` cap
-    is read.  For r/d below ``FREE_SPACE_SWITCH`` the free-space limits
-    are returned directly (documented in ``note``).
-    """
-    r, d = geom.r, geom.d
-    if r / d < FREE_SPACE_SWITCH:
-        free = v_static_free(geom)
-        return StaticPotentialTensor(
-            free.v00, free.vpp, free.vpm, (0, 0, 0),
-            note=f"r/d = {r / d:.2e} < {FREE_SPACE_SWITCH}: free-space "
-                 "limit used")
-    k2 = np.zeros(1)
-    vpm, vpp, v00 = ((d**3 / PI)
-                     * _mode_sums(r, d, k2, n_max=spec.n_max)[:, 0]).tolist()
-    n = int(_term_count(r, d, k2)[0])
-    return StaticPotentialTensor(v00, vpp, vpm, (n, n, n))
+    """Dimensionless electrostatic tensor, (d^3/pi) k^2 G at k^2 = 0 from
+    :func:`cavdip.green._closed_sums`; ``n_used``, the same for all three
+    components, is its count of modes or images, and of ``spec`` only the
+    ``n_max`` cap is read."""
+    sums, n = _closed_sums(geom.r, geom.d, np.zeros(1), n_max=spec.n_max)
+    vpm, vpp, v00 = (geom.d**3 / PI * sums[:, 0]).tolist()
+    return StaticPotentialTensor(v00, vpp, vpm, (int(n[0]),) * 3)
 
 
 def static_interaction_from_tensor(config: TwoAtomConfig, field: StaticField,

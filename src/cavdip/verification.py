@@ -21,8 +21,7 @@ from .errors import CavdipError
 from .green import (CartesianGreen, CavityGeometry, d_dk_k2_re_green,
                     free_space_green, green_imaginary_freq, green_modesum,
                     green_reflection_series, greens_q_integral_oracle,
-                    im_green_modesum, kramers_kronig_re, re_green_modesum,
-                    to_spherical)
+                    kramers_kronig_re, to_spherical)
 from .quadrature import QuadSpec
 from .static import v_static_dimensionless, v_static_free
 from .vdw import (v_off_dimensionless, v_off_free_dimensionless,
@@ -88,7 +87,7 @@ def check_kramers_kronig():
     for kr, kd in [(1.0, 5.0), (0.5, 2.0), (2.0, 8.0), (1.0, 12.0),
                    (0.7, 4.5)]:
         geom = CavityGeometry(r=kr, d=kd)
-        ms = re_green_modesum(geom, 1.0).as_array()
+        ms = green_modesum(geom, 1.0).as_array().real
         kk = kramers_kronig_re(geom, 1.0).as_array()
         rel = np.abs(kk - ms) / np.maximum(np.abs(ms), 1e-8)
         worst = max(worst, float(rel.max()))
@@ -107,10 +106,10 @@ def check_subthreshold():
     for _ in range(20):
         kr = rng.uniform(0.1, 3.0)
         kd = rng.uniform(0.2, math.pi - 0.05)
-        im = im_green_modesum(CavityGeometry(r=kr, d=kd), 1.0)
-        worst_inplane = max(worst_inplane, abs(im.g_par), abs(im.g_perp))
+        im = green_modesum(CavityGeometry(r=kr, d=kd), 1.0).as_array().imag
+        worst_inplane = max(worst_inplane, abs(im[0]), abs(im[1]))
         ref = -bessel_j(0, kr) / (4 * kd)
-        worst_00 = max(worst_00, abs(im.g_00 - ref) / abs(ref))
+        worst_00 = max(worst_00, abs(im[2] - ref) / abs(ref))
     elapsed = time.monotonic() - t0
     passed = worst_inplane == 0.0 and worst_00 <= 1e-12
     return CheckResult(
@@ -137,7 +136,7 @@ def check_imagfreq_oracle():
     spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-15)
     for rod in (1e-2, 1e-3, 1e-5):
         for ud in (0.1, 10.0):
-            c = green._image_sums(rod * ud, ud, np.ones(1))
+            c = -green._image_sums(rod * ud, ud, -np.ones(1))
             orc = to_spherical(CartesianGreen(*green._q_integral_scattering(
                 rod * ud, ud, 1.0, spec))).as_array()
             rel = np.max(np.abs(c[:, 0] - orc)) / np.max(np.abs(orc))
@@ -204,7 +203,7 @@ def check_resonant_algebra():
         for kr in np.linspace(0.25, 12.0, 25):
             geom = CavityGeometry(r=float(kr), d=kd)
             va, vb = v_res_dimensionless(geom, 1.0)
-            im = to_spherical(im_green_modesum(geom, 1.0)).as_array().real
+            im = to_spherical(green_modesum(geom, 1.0)).as_array().imag
             ident = vb.as_array() - va.as_array() \
                 - 2 * (im[[2, 1, 0]] ** 2)
             scale = float(np.max(np.abs(vb.as_array()))) + 1e-300
@@ -294,14 +293,25 @@ def check_fig7_shape():
 
 
 def check_static_free_limit():
-    """Criterion 9: static sums within 1% of free-space forms at r/d=0.01."""
+    """Criterion 9: static sums within 1% of free-space forms at r/d=0.01;
+    free space plus the images within 1e-12 of the mode sums per component
+    at r/d = 0.005 and 0.01 (measured: <= 4.2e-15)."""
     t0 = time.monotonic()
     geom = CavityGeometry(r=0.01, d=1.0)
     vs = v_static_dimensionless(geom).as_array()
     vf = v_static_free(geom).as_array()
     worst = float(np.max(np.abs(vs / vf - 1)))
-    return CheckResult("static-free-space-limit", worst <= 0.01,
-                       f"worst ratio dev {worst:.2e} (tol 1e-2)",
+    routes = 0.0
+    for rod in (0.005, 0.01):
+        free = v_static_free(CavityGeometry(r=rod, d=1.0)).as_array()
+        images, modes = (sums(rod, 1.0, np.zeros(1))[::-1, 0] / math.pi
+                         for sums in (green._image_sums, green._mode_sums))
+        dev = np.abs((free + images) / modes - 1)
+        routes = max(routes, float(dev.max()))
+    return CheckResult("static-free-space-limit",
+                       worst <= 0.01 and routes <= 1e-12,
+                       f"worst ratio dev {worst:.2e} (tol 1e-2), routes "
+                       f"apart by {routes:.1e} (tol 1e-12)",
                        time.monotonic() - t0)
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from cavdip.cli import main
 from cavdip.verification import (check_imagfreq_oracle,
-                                 check_representation_equivalence)
+                                 check_representation_equivalence,
+                                 check_static_free_limit)
 
 
 def test_eval_green_modesum_prints_components(capsys):
@@ -33,9 +34,18 @@ def test_eval_threshold_exit_code(capsys):
     assert code == 3
 
 
-def test_eval_missing_parameter_exit_code(capsys):
+def test_eval_missing_parameter_exit_code(atoms_json, capsys):
     code = main(["eval", "--quantity", "v_off"])
     assert code == 2
+    # a flag the quantity does not read is refused, not echoed as used
+    for argv in (["--quantity", "v_static", "--r-over-d", "0.1",
+                  "--kr", "5", "--kd", "3"],
+                 ["--quantity", "v_off", "--kr", "0.2", "--kd", "2",
+                  "--r-over-d", "0.1"],
+                 ["--quantity", "w_off", "--config", str(atoms_json),
+                  "--kr", "1", "--r-over-d", "0.1"]):
+        assert main(["eval", *argv]) == 2, argv
+        assert "does not read" in capsys.readouterr().err
 
 
 def test_malformed_config_exit_code(tmp_path, capsys):
@@ -201,6 +211,17 @@ def test_sweep_validates_grid(tmp_path, capsys):
     for overrides in malformed:
         path = _sweep_doc(tmp_path, **overrides)
         assert main(["sweep", "--config", str(path)]) == 2, overrides
+    # keys the quantity does not read, and a non-boolean include_free
+    static_grid = {"variable": "r_over_d", "start": 0.1, "stop": 0.2,
+                   "points": 2}
+    malformed = [{"fixed": {"Kr": 1.0, "Kx": 1.0}},
+                 {"quantity": "v_static", "grid": static_grid,
+                  "fixed": {"Kx": 1, "Kr": 3}},
+                 {"quantity": "v_static", "grid": static_grid,
+                  "fixed": {}, "include_free": "no"}]
+    for overrides in malformed:
+        path = _sweep_doc(tmp_path, **overrides)
+        assert main(["sweep", "--config", str(path)]) == 2, overrides
     for doc in ([1, 2], {"quantity": "green_modesum", "fixed": {"Kr": 1}}):
         path.write_text(json.dumps(doc))
         assert main(["sweep", "--config", str(path)]) == 2, doc
@@ -314,3 +335,19 @@ def test_verification_catches_image_sign_mutation(monkeypatch):
     assert check_imagfreq_oracle().passed
     monkeypatch.setattr(green, "_INPLANE_SIGN", 1.0)
     assert not check_imagfreq_oracle().passed
+
+
+def test_verification_catches_static_route_mutation(monkeypatch):
+    """A V+- x 1.001 error in the k^2 = 0 mode sums must break the static
+    check, which compares them with free space plus the images."""
+    import cavdip.green as green
+    assert check_static_free_limit().passed
+    mode_sums = green._mode_sums
+
+    def mutant(r, d, k2, *args, **kwargs):
+        out = mode_sums(r, d, k2, *args, **kwargs)
+        out[0, k2 == 0] *= 1.001
+        return out
+
+    monkeypatch.setattr(green, "_mode_sums", mutant)
+    assert not check_static_free_limit().passed

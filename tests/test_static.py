@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+import cavdip.green as green
 from cavdip.atoms import AtomSpec, TwoAtomConfig
 from cavdip.errors import ConfigError, DegenerateError
 from cavdip.green import CavityGeometry, green_imaginary_freq
@@ -64,7 +65,7 @@ def test_free_space_limit_ratio():
     assert np.max(np.abs(ratios - 1)) < 0.01
 
 
-@pytest.mark.parametrize("rho", [0.005, 0.01, 0.02])
+@pytest.mark.parametrize("rho", [1e-3, 0.005, 0.01, 0.02])
 def test_image_law_at_small_separation(rho):
     """r << d (rho = r/d): the first image corrections of the ratios to
     free space are -4 zeta(3) rho^3 (00) and 3 zeta(3) rho^3 (+-), each
@@ -80,12 +81,19 @@ def test_image_law_at_small_separation(rho):
     assert v.n_used[0] == v.n_used[1] == v.n_used[2] > 0
 
 
-def test_tiny_ratio_switches_to_free_space():
-    geom = CavityGeometry(r=0.001, d=1.0)
-    v = v_static_dimensionless(geom)
-    assert v.n_used == (0, 0, 0)
-    assert "free-space" in v.note
-    assert v.v00 == v_static_free(geom).v00
+def test_static_answers_and_is_continuous_across_the_route_crossover():
+    """v_static answers from r/d = 1e-6 to 10, on the images (free space
+    plus the cavity part) below IMAGFREQ_SUM_MIN_R_OVER_D and on the mode
+    sums from there, and the two routes meet to 2e-13 per component."""
+    cross = green.IMAGFREQ_SUM_MIN_R_OVER_D
+    for rod in (1e-6, 1e-3, 0.0199, 0.02, 1.0, 10.0):
+        v = v_static_dimensionless(CavityGeometry(r=rod, d=1.0))
+        assert np.all(np.isfinite(v.as_array()))
+        assert (v.n_used == (green._IMAGES,) * 3) == (rod < cross)
+    below, above = (v_static_dimensionless(CavityGeometry(r=rod, d=1.0))
+                    for rod in (np.nextafter(cross, 0.0), cross))
+    assert below.n_used != above.n_used
+    assert np.max(np.abs(below.as_array() / above.as_array() - 1)) <= 2e-13
 
 
 def test_scale_invariance():

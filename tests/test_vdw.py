@@ -10,7 +10,7 @@ from cavdip.atoms import AtomSpec, TwoAtomConfig, swap_conj
 from cavdip.errors import DegenerateError, DomainError, ThresholdError
 from cavdip.green import (CavityGeometry, free_space_green_imag,
                           green_imaginary_freq, green_modesum,
-                          im_green_modesum, to_spherical)
+                          to_spherical)
 from cavdip.quadrature import QuadSpec, integrate_semi_infinite_damped
 from cavdip.vdw import (contract, v_off_dimensionless, v_off_integrand,
                         v_res_dimensionless, w_off_factorized, w_off_full,
@@ -193,7 +193,7 @@ def test_mixed_polarization_factorized_tracks_full():
 def test_v_res_identity_and_subthreshold_coincidence():
     geom = CavityGeometry(r=1.0, d=5.0)
     va, vb = v_res_dimensionless(geom, 1.0)
-    im = to_spherical(im_green_modesum(geom, 1.0)).as_array().real
+    im = to_spherical(green_modesum(geom, 1.0)).as_array().imag
     diff = vb.as_array() - va.as_array()
     assert np.allclose(diff, 2 * im[[2, 1, 0]] ** 2, rtol=0, atol=1e-16)
     assert np.all(vb.as_array() >= np.abs(va.as_array()) - 1e-16)
@@ -221,7 +221,7 @@ def test_one_excited_identities():
     assert res.phase_shift == res.w_a
     # w_b - w_a is twice the Im.Im channel sum
     geom = cfg.geometry
-    im = to_spherical(im_green_modesum(geom, 1.0)).as_array().real
+    im = to_spherical(green_modesum(geom, 1.0)).as_array().imag
     kern = 2 * 1.3 / (1.0 - 1.3**2)
     ii = abs(contract(D0, im, swap_conj(0.9 * D0))) ** 2
     assert res.w_b - res.w_a == pytest.approx(2 * kern * ii, rel=1e-12)
@@ -409,7 +409,7 @@ def test_identical_two_level_structure():
     assert res.w_a == res.w_b
 
     # dE - w_a = -kern * k * (Im contraction)^2 for the single channel
-    im = to_spherical(im_green_modesum(cfg.geometry, 1.0)).as_array().real
+    im = to_spherical(green_modesum(cfg.geometry, 1.0)).as_array().imag
     fi = contract(D0, im, swap_conj(D0)).real
     kern = 1.0 / (NATURAL.epsilon0**2 * NATURAL.c * NATURAL.hbar)
     assert res.phase_shift - res.w_a == pytest.approx(-kern * fi * fi,

@@ -14,8 +14,8 @@ in) and writes one record:
   that ``cavdip presets`` lists, and of ``cavdip verify --level full``;
 * the least wall time of five runs of ``cavdip eval --quantity Q`` for
   ``w_off``, ``w_res`` and ``w_static`` on fixed documents of the
-  benchmark catalogue (``EVALS``), and for ``v_off`` at r/d = 1e-3 and
-  1e-5 (``EVAL_ARGS``);
+  benchmark catalogue (``EVALS``), for ``v_off`` at r/d = 1e-3 and 1e-5,
+  and for ``v_static`` at r/d = 1e-3 and 0.01 (``EVAL_ARGS``);
 * the state of the machine: ``nproc``, the load average before and after,
   and the least time of a short CPU calibration loop, so that two
   records are compared through their calibrations, not as raw seconds.
@@ -50,10 +50,12 @@ CALIBRATION_REPEATS = 5
 #: is ``perfbench/workloads.make_doc(kind, 0)``
 EVALS = (("w_off", "ground"), ("w_res", "dis"), ("w_res", "ident"),
          ("w_static", "static"))
-#: arguments of each timed ``cavdip eval`` without a document: v_off at
-#: r << d, where the imaginary-frequency tensor comes from the image sums
+#: arguments of each timed ``cavdip eval`` without a document: v_off and
+#: v_static at r << d, where the tensor comes from the image sums
 EVAL_ARGS = (("--quantity", "v_off", "--kr", "0.2", "--kd", "200"),
-             ("--quantity", "v_off", "--kr", "0.2", "--kd", "20000"))
+             ("--quantity", "v_off", "--kr", "0.2", "--kd", "20000"),
+             ("--quantity", "v_static", "--r-over-d", "1e-3"),
+             ("--quantity", "v_static", "--r-over-d", "0.01"))
 #: runs of each timed ``cavdip eval``; the least wall time is kept
 EVAL_REPEATS = 5
 
