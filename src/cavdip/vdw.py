@@ -6,6 +6,12 @@ atoms (with the double-pole d/dk[k^2 Re G] term).  Off-resonant parts are
 integrals over imaginary frequency; resonant parts are evaluated at the
 real transition wavenumbers of the downward channels.
 
+The imaginary-frequency integrals run on one fixed-node exp-sinh rule
+(``_exp_sinh``): nested levels of nodes q = exp(pi/2 sinh t), one Green
+call per level, stopped once the halving estimate |I_h - I_2h| (with a
+rounding floor) is within ``spec.rel_tol`` of the largest component.
+Nothing here is adaptive, and ``spec.abs_tol`` is not read.
+
 Dipole-tensor contractions use the spherical pairing of
 :mod:`cavdip.atoms`:
 
@@ -28,11 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atoms import TwoAtomConfig, coupled_channels, resonant_channels
-from .errors import DegenerateError, DomainError, ThresholdError
+from .errors import (ConvergenceError, DegenerateError, DomainError,
+                     ThresholdError)
 from .green import (CavityGeometry, SphericalGreen, d_dk_k2_re_green,
                     free_space_green_imag, green_imaginary_freq,
                     green_modesum, to_spherical)
-from .quadrature import (QuadSpec, SeriesSpec, integrate_semi_infinite_damped)
+from .quadrature import QuadSpec, SeriesSpec
 
 __all__ = [
     "PotentialTensor",
@@ -112,21 +119,65 @@ def contract(x, green: SphericalGreen | np.ndarray, y):
             + g_pm * (x[1] * y[2] + x[2] * y[1]))
 
 
-def _integrate_scaled(f, damping_scale, spec, probes):
-    """Semi-infinite integral with the tolerance floor set by probing.
+#: exp-sinh rule q = exp(pi/2 sinh t), t = _T_LO + j h (H. Takahashi and
+#: M. Mori, Publ. RIMS 9, 721, 1974).  Level l has h = _H0/2^l; level 0
+#: holds the whole coarsest lattice and every later level only its odd
+#: midpoints, so halving h reuses every node already evaluated.  t = -4.5
+#: puts the lowest node at q = 2e-31; from t = -6 down, q^4 G^2
+#: overflows.
+_T_LO, _T_HI, _H0, _LEVELS = -4.5, 4.5, 0.1, 5
+#: nodes above u min(r, d) = _U_CUT are dropped: the off-resonant
+#: integrands fall like e^{-2 u min(r, d)} there, and the mode sums' term
+#: count grows like d sqrt(u)
+_U_CUT = 30.0
+#: relative floor of the halving estimate: rounding in the integrand moves
+#: the value by 1e-14 of its largest component while the halving
+#: difference can read 3e-16
+_ROUNDING = 1e-13
 
-    Potentials in SI units involve dipole^4 factors of order 1e-117; the
-    integrand is normalized by its probed magnitude so that the absolute
-    tolerance and tail cutoff act on a quantity of order one.
+
+def _exp_sinh_nodes(t):
+    q = np.exp(0.5 * PI * np.sinh(t))
+    return q, 0.5 * PI * np.cosh(t) * q
+
+
+_N0 = round((_T_HI - _T_LO) / _H0)
+_EXP_SINH = [_exp_sinh_nodes(_T_LO + _H0 * np.arange(_N0 + 1))] + [
+    _exp_sinh_nodes(_T_LO + _H0 / 2**lev * np.arange(1, _N0 * 2**lev, 2))
+    for lev in range(1, _LEVELS)]
+
+
+def _exp_sinh(f, q_max, rel_tol):
+    """Integral over (0, inf) of the batched ``f`` (q array -> (n, m)) on
+    the exp-sinh nodes with q <= ``q_max``; returns (value, estimate).
+
+    Each level calls ``f`` once, on its new nodes only.  The estimate is
+    the largest change of a component on halving h, plus _ROUNDING of the
+    largest component, plus q_min max|f(q_min)| for the dropped (0, q_min)
+    (``f`` tends to a finite limit at 0).  The first level whose estimate
+    is at most ``rel_tol`` of the largest component returns; an integrand
+    that is identically 0 returns 0.
     """
-    sample = np.abs(np.asarray(f(np.asarray(probes, dtype=float))))
-    scale = float(sample.max())
-    if scale == 0.0 or not math.isfinite(scale):
-        zero = np.zeros(sample.shape[1]) if sample.ndim == 2 else 0.0
-        return zero, 0.0
-    val, err = integrate_semi_infinite_damped(
-        lambda x: np.asarray(f(x)) / scale, 0.0, damping_scale, spec)
-    return np.asarray(val) * scale, err * scale
+    if not q_max >= _EXP_SINH[0][0][0]:
+        raise DomainError(f"every exp-sinh node lies above the cut at "
+                          f"q = {q_max:.1e}")
+    total = prev = end = 0.0
+    for lev, (q, w) in enumerate(_EXP_SINH):
+        keep = q <= q_max
+        vals = f(q[keep])
+        if lev == 0:
+            end = q[0] * np.max(np.abs(vals[0]))
+        total = total + w[keep] @ vals
+        value = _H0 / 2**lev * total
+        if lev:
+            scale = np.max(np.abs(value))
+            est = np.max(np.abs(value - prev)) + _ROUNDING * scale + end
+            if est <= rel_tol * scale:
+                return value, float(est)
+        prev = value
+    raise ConvergenceError(
+        f"exp-sinh rule: estimate {est:.1e} above rel_tol {rel_tol:g} of "
+        f"{scale:.3e} after {_LEVELS} levels")
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +222,8 @@ def v_off_dimensionless(geom: CavityGeometry, K: float,
     """
     if not K > 0:
         raise DomainError("K must be > 0")
-    f = v_off_integrand(geom, K)
-    damping = 2.0 * K * min(geom.r, geom.d)
-    probes = [0.5, 1.0, 2.0, 4.0]
-    val, _ = _integrate_scaled(f, damping, spec, probes)
+    val, _ = _exp_sinh(v_off_integrand(geom, K),
+                       _U_CUT / (K * min(geom.r, geom.d)), spec.rel_tol)
     val = val / (K * K)
     return PotentialTensor(v00=val[2], vpp=val[1], vpm=val[0], family="off")
 
@@ -186,7 +235,7 @@ def v_off_free_dimensionless(kr: float,
     K r = kr, with K = 1."""
     f = _off_integrand(
         lambda q: to_spherical(free_space_green_imag(kr, q)).as_array())
-    val, _ = integrate_semi_infinite_damped(f, 0.0, 2 * kr, spec)
+    val, _ = _exp_sinh(f, _U_CUT / kr, spec.rel_tol)
     return PotentialTensor(v00=val[2], vpp=val[1], vpm=val[0],
                            family="off")
 
@@ -205,28 +254,23 @@ def w_off_full(config: TwoAtomConfig,
     channels = coupled_channels(config)
     if not channels:
         return EnergyResult(0.0, 0.0, 0.0, 0.0, "off", [])
-    k_scales = [abs(w) / cn.c for _, _, w_ia, w_jb, _, _ in channels
-                for w in (w_ia, w_jb)]
+    rmin = min(geom.r, geom.d)
 
-    def f(u):
-        out = np.zeros((len(u), len(channels)))
-        nz = u != 0.0
-        un = u[nz]
-        g = green_imaginary_freq(geom, un).as_array()
+    def f(q):
+        # u = q / min(r, d), so that the cut and the nodes are in q
+        u = q / rmin
+        g = green_imaginary_freq(geom, u).as_array()
+        out = np.empty((len(u), len(channels)))
         for c_idx, (i, j, w_ia, w_jb, x, y) in enumerate(channels):
             k_ia = w_ia / cn.c
             k_jb = w_jb / cn.c
             pairing = np.abs(contract(x, g, y)) ** 2
-            out[nz, c_idx] = (un**4 * w_ia * w_jb
-                              / ((un * un + k_ia * k_ia)
-                                 * (un * un + k_jb * k_jb))) * pairing
+            out[:, c_idx] = (u**4 * w_ia * w_jb
+                             / ((u * u + k_ia * k_ia)
+                                * (u * u + k_jb * k_jb))) * pairing / rmin
         return out
 
-    damping = 2.0 * min(geom.r, geom.d)
-    kmed = float(np.median(k_scales)) if k_scales else 1.0 / geom.r
-    probes = sorted({0.5 * kmed, kmed, 2 * kmed, 0.5 / geom.r, 1.0 / geom.r})
-    vals, _ = _integrate_scaled(f, damping, spec, probes)
-    vals = np.atleast_1d(vals)
+    vals, _ = _exp_sinh(f, _U_CUT, spec.rel_tol)
     pref = -2.0 / (PI * cn.hbar * cn.epsilon0**2 * cn.c**3)
     breakdown = []
     for c_idx, (i, j, _, _, _, _) in enumerate(channels):

@@ -71,7 +71,10 @@ GROUND = _cfg(ATOM_A, ATOM_B, 0, 0)
 # (i, j, tag, k_eval, w_a, w_b, phase, skipped) of each resonant sum;
 # EXPECTED_REGIME: check_perturbative_regime(config, 1e-3).ratios;
 # EXPECTED_FACTORIZED and EXPECTED_STATIC: w_off_factorized(K=1) and
-# w_static_full in the same layout.
+# w_static_full in the same layout.  The factorized values come from the
+# exp-sinh rule for V_off.  The adaptive rule at rel_tol 1e-8 gave values
+# 1.7e-13 (relative) away; at rel_tol 1e-13 it agrees with the exp-sinh
+# V_off to 3.4e-15 per component.
 EXPECTED_RESONANT = {
     'dissimilar': (
         (-0.015585700895287926, -0.013489515358019505, -0.013703869125354111),
@@ -133,26 +136,26 @@ EXPECTED_REGIME = {
 }
 EXPECTED_FACTORIZED = {
     'dissimilar': (
-        (-0.0008376745864554318, -0.0008376745864554318,
-         -0.0008376745864554318),
+        (-0.0008376745864555701, -0.0008376745864555701,
+         -0.0008376745864555701),
         [
-            (0, 0, 'off-factorized', 0.0, -0.00187827760856444,
-             -0.00187827760856444, -0.00187827760856444, False),
-            (0, 2, 'off-factorized', 0.0, 0.0012548808239632523,
-             0.0012548808239632523, 0.0012548808239632523, False),
-            (2, 0, 'off-factorized', 0.0, 0.0009753654767907724,
-             0.0009753654767907724, 0.0009753654767907724, False),
-            (2, 2, 'off-factorized', 0.0, -0.0011896432786450166,
-             -0.0011896432786450166, -0.0011896432786450166, False),
+            (0, 0, 'off-factorized', 0.0, -0.0018782776085647505,
+             -0.0018782776085647505, -0.0018782776085647505, False),
+            (0, 2, 'off-factorized', 0.0, 0.0012548808239634082,
+             0.0012548808239634082, 0.0012548808239634082, False),
+            (2, 0, 'off-factorized', 0.0, 0.0009753654767908084,
+             0.0009753654767908084, 0.0009753654767908084, False),
+            (2, 2, 'off-factorized', 0.0, -0.0011896432786450363,
+             -0.0011896432786450363, -0.0011896432786450363, False),
         ]),
     'ground': (
-        (-0.0027208351110930224, -0.0027208351110930224,
-         -0.0027208351110930224),
+        (-0.002720835111093418, -0.002720835111093418,
+         -0.002720835111093418),
         [
-            (1, 1, 'off-factorized', 0.0, -0.00187827760856444,
-             -0.00187827760856444, -0.00187827760856444, False),
-            (2, 1, 'off-factorized', 0.0, -0.0008425575025285826,
-             -0.0008425575025285826, -0.0008425575025285826, False),
+            (1, 1, 'off-factorized', 0.0, -0.0018782776085647505,
+             -0.0018782776085647505, -0.0018782776085647505, False),
+            (2, 1, 'off-factorized', 0.0, -0.0008425575025286675,
+             -0.0008425575025286675, -0.0008425575025286675, False),
         ]),
 }
 EXPECTED_STATIC = {

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from cavdip.cli import main
-from cavdip.verification import (check_imagfreq_oracle,
+from cavdip.verification import (check_fig4_shape, check_imagfreq_oracle,
                                  check_representation_equivalence,
                                  check_static_free_limit)
 
@@ -351,3 +351,19 @@ def test_verification_catches_static_route_mutation(monkeypatch):
 
     monkeypatch.setattr(green, "_mode_sums", mutant)
     assert not check_static_free_limit().passed
+
+
+def test_verification_catches_v_off_mutation(monkeypatch):
+    """A V_off x 1.001 error must break the fig4 check, which compares
+    three of its points with the adaptive rule."""
+    import cavdip.verification as verification
+    from cavdip.vdw import PotentialTensor
+    assert check_fig4_shape().passed
+    v_off = verification.v_off_dimensionless
+
+    def mutant(*args, **kwargs):
+        v = v_off(*args, **kwargs)
+        return PotentialTensor(*(1.001 * v.as_array()), family=v.family)
+
+    monkeypatch.setattr(verification, "v_off_dimensionless", mutant)
+    assert not check_fig4_shape().passed

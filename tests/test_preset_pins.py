@@ -29,7 +29,7 @@ def _split(text):
     return meta, rows[0], rows[1:]
 
 
-@pytest.mark.parametrize("preset", ["fig6-d2", "fig6-d20", "fig7"])
+@pytest.mark.parametrize("preset", ["fig4", "fig6-d2", "fig6-d20", "fig7"])
 def test_preset_matches_stored_output(preset, tmp_path, capsys):
     out = tmp_path / f"{preset}.csv"
     assert main(["sweep", "--preset", preset, "--out", str(out)]) == 0

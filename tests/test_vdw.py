@@ -7,7 +7,8 @@ import pytest
 
 import cavdip.vdw as vdw
 from cavdip.atoms import AtomSpec, TwoAtomConfig, swap_conj
-from cavdip.errors import DegenerateError, DomainError, ThresholdError
+from cavdip.errors import (ConvergenceError, DegenerateError, DomainError,
+                           ThresholdError)
 from cavdip.green import (CavityGeometry, free_space_green_imag,
                           green_imaginary_freq, green_modesum,
                           to_spherical)
@@ -111,6 +112,45 @@ def test_v_off_free_space_reduction():
                                                      abs_tol=1e-15))
     got = np.array([v.vpm, v.vpp, v.v00])
     assert np.max(np.abs(got / ref - 1)) < 5e-3
+
+
+def _exp_sinh_grid():
+    """Seeded (Kr, Kd) in [0.02, 20] x [2e-4, 2e4], log-uniform, plus
+    r/d = 1000 and 1e-5."""
+    rng = np.random.default_rng(20281022)
+    kr = 10 ** rng.uniform(math.log10(0.02), math.log10(20.0), 8)
+    kd = 10 ** rng.uniform(math.log10(2e-4), math.log10(2e4), 8)
+    return [*zip(kr, kd), (0.2, 2e-4), (20.0, 0.02), (0.2, 2e4), (0.02, 2e3)]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+def test_exp_sinh_estimate_bounds_its_error(rel_tol):
+    """The estimate the exp-sinh rule returns is at least its actual
+    error, measured against the adaptive rule at rel_tol 1e-12."""
+    for kr, kd in _exp_sinh_grid():
+        f = v_off_integrand(CavityGeometry(r=kr, d=kd), 1.0)
+        val, est = vdw._exp_sinh(f, vdw._U_CUT / min(kr, kd), rel_tol)
+        scale = np.max(np.abs(val))
+        assert 0 < est <= rel_tol * scale
+        # the integrand in units of the result, so that abs_tol is relative
+        ref, _ = integrate_semi_infinite_damped(
+            lambda q: f(q) / scale, 0.0, 2 * min(kr, kd),
+            QuadSpec(rel_tol=1e-12, abs_tol=1e-16))
+        actual = np.max(np.abs(val - scale * np.asarray(ref)))
+        assert actual <= est, (kr, kd, actual, est)
+
+
+def test_exp_sinh_raises_when_five_levels_do_not_converge():
+    def f(q):
+        return (np.sin(1e3 * q) * np.exp(-q))[:, None]
+
+    with pytest.raises(ConvergenceError):
+        vdw._exp_sinh(f, vdw._U_CUT, 1e-6)
+
+
+def test_exp_sinh_refuses_a_cut_below_every_node():
+    with pytest.raises(DomainError):
+        v_off_dimensionless(CavityGeometry(r=1e33, d=1e33), 1.0)
 
 
 def test_w_off_full_equals_factorized_for_matched_frequencies(desk_pair):

@@ -14,8 +14,13 @@ in) and writes one record:
   that ``cavdip presets`` lists, and of ``cavdip verify --level full``;
 * the least wall time of five runs of ``cavdip eval --quantity Q`` for
   ``w_off``, ``w_res`` and ``w_static`` on fixed documents of the
-  benchmark catalogue (``EVALS``), for ``v_off`` at r/d = 1e-3 and 1e-5,
-  and for ``v_static`` at r/d = 1e-3 and 0.01 (``EVAL_ARGS``);
+  benchmark catalogue (``EVALS``), for ``v_off`` at Kr = 0.2 and
+  Kd = 2, 10, 200 and 20000, and for ``v_static`` at r/d = 1e-3 and 0.01
+  (``EVAL_ARGS``);
+* for one ``v_off`` point at Kr = 0.2 and each Kd of ``V_OFF_KD``, at
+  fig4's rel_tol, its calls of the imaginary-frequency Green tensor, the
+  nodes they took and its least CPU time of five runs, measured in this
+  process on the ``--tree`` sources;
 * the state of the machine: ``nproc``, the load average before and after,
   and the least time of a short CPU calibration loop, so that two
   records are compared through their calibrations, not as raw seconds.
@@ -50,14 +55,19 @@ CALIBRATION_REPEATS = 5
 #: is ``perfbench/workloads.make_doc(kind, 0)``
 EVALS = (("w_off", "ground"), ("w_res", "dis"), ("w_res", "ident"),
          ("w_static", "static"))
-#: arguments of each timed ``cavdip eval`` without a document: v_off and
-#: v_static at r << d, where the tensor comes from the image sums
-EVAL_ARGS = (("--quantity", "v_off", "--kr", "0.2", "--kd", "200"),
+#: arguments of each timed ``cavdip eval`` without a document: the two
+#: slowest fig4 points, and v_off and v_static at r << d, where the tensor
+#: comes from the image sums
+EVAL_ARGS = (("--quantity", "v_off", "--kr", "0.2", "--kd", "2"),
+             ("--quantity", "v_off", "--kr", "0.2", "--kd", "10"),
+             ("--quantity", "v_off", "--kr", "0.2", "--kd", "200"),
              ("--quantity", "v_off", "--kr", "0.2", "--kd", "20000"),
              ("--quantity", "v_static", "--r-over-d", "1e-3"),
              ("--quantity", "v_static", "--r-over-d", "0.01"))
 #: runs of each timed ``cavdip eval``; the least wall time is kept
 EVAL_REPEATS = 5
+#: Kd of the in-process v_off points, at Kr = 0.2 and fig4's rel_tol
+V_OFF_KD = (0.02, 0.2, 2.0, 20.0)
 
 
 def calibrate() -> float:
@@ -128,6 +138,39 @@ def timed_evals(tree, env, cavdip, tmp) -> dict:
     return out
 
 
+def v_off_points(tree) -> dict:
+    """Green calls, nodes and least CPU time of one v_off point per
+    ``V_OFF_KD``, with cavdip imported from ``tree``."""
+    sys.path.insert(0, os.path.join(tree, "src"))
+    from cavdip import vdw
+    from cavdip.green import CavityGeometry
+    from cavdip.quadrature import QuadSpec
+    green = vdw.green_imaginary_freq
+    sizes = []
+
+    def counting(geom, u):
+        sizes.append(u.size)
+        return green(geom, u)
+
+    out = {}
+    for kd in V_OFF_KD:
+        geom, spec = CavityGeometry(r=0.2, d=kd), QuadSpec(rel_tol=1e-6)
+        sizes.clear()
+        vdw.green_imaginary_freq = counting
+        try:
+            vdw.v_off_dimensionless(geom, 1.0, spec)
+        finally:
+            vdw.green_imaginary_freq = green
+        best = float("inf")
+        for _ in range(EVAL_REPEATS):
+            t0 = time.process_time()
+            vdw.v_off_dimensionless(geom, 1.0, spec)
+            best = min(best, time.process_time() - t0)
+        out[f"Kr=0.2 Kd={kd:g}"] = {"green_calls": len(sizes),
+                                    "nodes": sum(sizes), "cpu_ms": 1e3 * best}
+    return out
+
+
 def record(tree: str) -> dict:
     with open(os.path.join(tree, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
@@ -160,6 +203,7 @@ def record(tree: str) -> dict:
             [*cavdip, "verify", "--level", "full", "--json",
              os.path.join(tmp, "verify.json")], tree, env)
         out["evals"] = timed_evals(tree, env, cavdip, tmp)
+    out["v_off_points"] = v_off_points(tree)
     out["machine_after"] = machine_state()
     return out
 
