@@ -124,7 +124,8 @@ def contract(x, green: SphericalGreen | np.ndarray, y):
 #: holds the whole coarsest lattice and every later level only its odd
 #: midpoints, so halving h reuses every node already evaluated.  t = -4.5
 #: puts the lowest node at q = 2e-31; from t = -6 down, q^4 G^2
-#: overflows.
+#: overflows.  t = 4.5 puts the highest at q = 5e30, above the cut for
+#: any K min(r, d) >= 6e-30.
 _T_LO, _T_HI, _H0, _LEVELS = -4.5, 4.5, 0.1, 5
 #: nodes above u min(r, d) = _U_CUT are dropped: the off-resonant
 #: integrands fall like e^{-2 u min(r, d)} there, and the mode sums' term
